@@ -25,6 +25,7 @@ __all__ = [
     "classify_bundles",
     "projection_induced_map_kind",
     "reduce_class",
+    "require_pi6_zero",
 ]
 
 
@@ -48,6 +49,13 @@ class BundleClass:
         return f"bundle k={self.k} in Z_{self.modulus} over {self.base}"
 
 
+def require_pi6_zero(g: LieGroupId, table: PiTable) -> None:
+    """Refuse G with pi_6(G) != 0: the results for m != 1 assume it."""
+    pi6 = table.pi6(g)
+    if not pi6.is_trivial:
+        raise OutOfScopeError(f"out of theorem scope: pi_6({g}) = {pi6} != 0")
+
+
 def classify_bundles(
     g: LieGroupId, spec: ManifoldSpec, table: PiTable | None = None
 ) -> AbGroup:
@@ -59,11 +67,7 @@ def classify_bundles(
     table = table or default_table()
     if spec.m == 1:
         return table.pi6(g)
-    pi6 = table.pi6(g)
-    if not pi6.is_trivial:
-        raise OutOfScopeError(
-            f"out of theorem scope: pi_6({g}) = {pi6} != 0"
-        )
+    require_pi6_zero(g, table)
     if spec.m == 0:
         return Z
     return make_group(0, [spec.m])

@@ -25,8 +25,8 @@ from .gauge import (
     decompose_plocal,
     pi0_unpointed_gauge_m0,
     pi0_unpointed_gauge_plocal,
+    pi_of_expr,
     pi_pointed_gauge_m0,
-    pi_pointed_gauge_plocal,
     run_query,
     s7_gauge_equivalent,
     su5_gauge_equivalent_m0,
@@ -260,15 +260,17 @@ def _cmd_gauge_pi(args) -> QueryResult:
             text=f"pi_0(G^0(M({spec.l},{spec.m})) @ ({args.p})) = {group.render()}",
             theorem="p-local component table",
         )
-    value = pi_pointed_gauge_plocal(
-        g, spec.m, args.k, args.n, args.p,
+    decomposition = decompose_plocal(
+        g, spec.l, spec.m, args.k, args.p, pointed=True,
         looped=True if args.looped else None,
     )
+    value = pi_of_expr(decomposition.expr, args.n)
     return _result(
         "gauge pi", _group_json(value.group),
-        text=f"{value.describes} = {value.group.render()}",
+        text=f"pi_{args.n}({decomposition.describes} @ ({args.p})) = "
+        f"{value.group.render()}",
         caveats=value.notes,
-        theorem=value.theorem,
+        theorem=decomposition.theorem,
         citations=value.sources,
     )
 

@@ -27,6 +27,10 @@ The decision rules implemented here:
 Everything opaque (G^k(S^4), Map_*(Y_t, G) with t != 0, X_k without
 the divisibility) stays a first-class symbolic atom with a caveat; no
 silent expansion is performed.
+
+Homotopy groups have one derivation path: decompose, then read pi_n off
+the expression with pi_of_expr.  The pi_* functions below only choose
+the decomposition.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .abelian import (
     tor_with_cyclic,
     vp,
 )
-from .bundles import BundleClass
+from .bundles import BundleClass, require_pi6_zero
 from .errors import OutOfScopeError, UnknownValueError
 from .manifolds import twist_class
 from .spaces import (
@@ -148,12 +152,6 @@ class DecompositionResult:
             raise ValueError("opaque atoms require an explanatory caveat")
 
 
-def _require_pi6_zero(g: LieGroupId, table: PiTable) -> None:
-    pi6 = table.pi6(g)
-    if not pi6.is_trivial:
-        raise OutOfScopeError(f"out of theorem scope: pi_6({g}) = {pi6} != 0")
-
-
 def _check_prime_ge5(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -167,7 +165,7 @@ def decompose_unpointed_m0(
 ) -> DecompositionResult:
     """G^k(M(l,0)) = G^k(S^4) x Map_*(Y_t, G), expanded when t = 0."""
     table = table or default_table()
-    _require_pi6_zero(g, table)
+    require_pi6_zero(g, table)
     t = twist_class(l)
     caveats = [_CAVEAT_GAUGE_S4]
     if t == 0:
@@ -185,7 +183,7 @@ def decompose_pointed_m0(
 ) -> DecompositionResult:
     """G*^k(M(l,0)) = O^4[G] x Map_*(Y_t, G); the answer is k-independent."""
     table = table or default_table()
-    _require_pi6_zero(g, table)
+    require_pi6_zero(g, table)
     t = twist_class(l)
     caveats: list[str] = []
     if t == 0:
@@ -210,7 +208,7 @@ def decompose_plocal(
 ) -> DecompositionResult:
     """p-local decompositions for bases with torsion, p >= 5."""
     table = table or default_table()
-    _require_pi6_zero(g, table)
+    require_pi6_zero(g, table)
     _check_prime_ge5(p)
     if m < 2:
         raise OutOfScopeError("p-local decompositions apply to m >= 2 only")
@@ -440,11 +438,7 @@ def pi_pointed_gauge_m0(
     symbolic otherwise.
     """
     table = table or default_table()
-    _require_pi6_zero(g, table)
     return pi_of_expr(decompose_pointed_m0(g, l, k, table).expr, n, table)
-
-
-_PI0_ROW_SPIN8 = (2 + 1, None)
 
 
 def pi0_unpointed_gauge_m0(
@@ -452,23 +446,19 @@ def pi0_unpointed_gauge_m0(
 ) -> AbGroup:
     """pi_0 of the unpointed gauge group over M(l,0) for l = 0 mod 12.
 
-    These are the published component counts per family; the cross-check
-    against the pointed formula at n = 0 lives in the acceptance suite.
+    G is connected and simply connected, so evaluation at the basepoint
+    identifies the components with those of the pointed gauge group:
+    pi_4(G) + pi_3(G) + pi_7(G), read off the pointed splitting.  The
+    published component counts per family are the acceptance data of
+    the selftest grid, not an input here.
     """
     table = table or default_table()
-    _require_pi6_zero(g, table)
+    require_pi6_zero(g, table)
     if l % 12 != 0:
         raise OutOfScopeError(
             "the component table applies to l = 0 (mod 12) only"
         )
-    c = g.canonical()
-    if c.family == "Spin" and c.n == 8:
-        return AbGroup(3, ())
-    if c.family == "Sp":
-        return AbGroup(2, (2,))
-    if c.family == "SU" or c.family == "Spin":
-        return AbGroup(2, ())
-    return AbGroup(1, ())
+    return pi_pointed_gauge_m0(g, l, 0, 0, table).group
 
 
 def pi0_unpointed_gauge_plocal(
@@ -486,18 +476,6 @@ def pi0_unpointed_gauge_plocal(
     return pi_pointed_gauge_plocal(g, m, 0, 0, p, table=table).group
 
 
-@dataclass(frozen=True)
-class LocalPiResult:
-    group: AbGroup
-    describes: str
-    theorem: str
-    notes: tuple[str, ...] = ()
-    sources: tuple[str, ...] = ()
-
-    def __str__(self) -> str:
-        return self.group.render()
-
-
 def pi_pointed_gauge_plocal(
     g: LieGroupId,
     m: int,
@@ -506,46 +484,20 @@ def pi_pointed_gauge_plocal(
     p: int,
     looped: bool | None = None,
     table: PiTable | None = None,
-) -> LocalPiResult:
+) -> PiValue:
     """pi_n of the p-local pointed gauge group (k = 0), or of its loop
-    space (any k), for m >= 2 and p >= 5.
+    space (any k), for m >= 2 and p >= 5, read off decompose_plocal.
 
     k = 0 unlooped:  pi_{n+3}(G; Z_{p^r}) + localized pi_{n+7}(G).
     looped, any k:   pi_{n+4}(G; Z_{p^r}) + localized pi_{n+8}(G).
+
+    The decomposition does not depend on l, so any l will do.
     """
     table = table or default_table()
-    _require_pi6_zero(g, table)
-    _check_prime_ge5(p)
-    if m < 2:
-        raise OutOfScopeError("p-local homotopy groups apply to m >= 2 only")
-    k = k % m
-    r = vp(m, p)
-    if looped is None:
-        looped = k != 0
-    if not looped and k != 0:
-        raise UnknownValueError(
-            "pointed gauge groups with k != 0 are only described after looping"
-        )
-    shift = 4 if looped else 3
-    deep = 8 if looped else 7
-    coeff = _coefficient_group(g, n + shift, p**r, table)
-    rec_deep = table.lie_record(g, n + deep)
-    group = localize(direct_sum(coeff.group, rec_deep.group), p)
-    notes = ()
-    if coeff.extension_split_assumed:
-        notes = (
-            f"pi_{n + shift}({g}; Z_{p**r}) assumed to split as tensor + Tor",
-        )
-    sources = tuple(
-        dict.fromkeys(list(coeff.sources) + [rec_deep.source])
+    decomposition = decompose_plocal(
+        g, 0, m, k, p, pointed=True, looped=looped, table=table
     )
-    if looped:
-        describes = f"pi_{n}(O^1 G*^{k}(M(l,{m})) @ ({p}))"
-        theorem = TAG_PLOCAL_POINTED_LOOPED
-    else:
-        describes = f"pi_{n}(G*^0(M(l,{m})) @ ({p}))"
-        theorem = TAG_PLOCAL_POINTED
-    return LocalPiResult(group, describes, theorem, notes, sources)
+    return pi_of_expr(decomposition.expr, n, table)
 
 
 # Homotopy equivalence decisions for gauge groups over S^7.

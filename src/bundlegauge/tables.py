@@ -70,9 +70,9 @@ class LieGroupId:
     def parse(cls, token: str) -> "LieGroupId":
         """Accepts compact tokens (SU4, Sp2, Spin8, E7) and SU(4) forms."""
         token = token.strip()
-        m = re.match(r"^(SU|Sp|Spin)\(?(\d+)\)?$", token)
+        m = re.match(r"^(SU|Sp|Spin)(?:(\d+)|\((\d+)\))$", token)
         if m:
-            return cls(m.group(1), int(m.group(2)))
+            return cls(m.group(1), int(m.group(2) or m.group(3)))
         if token in ("G2", "F4", "E6", "E7", "E8"):
             return cls(token)
         raise ValueError(f"cannot parse Lie group token {token!r}")
@@ -212,9 +212,6 @@ class PiTable:
 
     def pi6(self, g: LieGroupId) -> AbGroup:
         return self.lie(g, 6)
-
-    def pi6_is_zero(self, g: LieGroupId) -> bool:
-        return self.pi6(g).is_trivial
 
 
 def _data_path() -> Path:

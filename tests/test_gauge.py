@@ -294,7 +294,7 @@ class TestPiPointedPlocal:
 
     def test_nonzero_class_is_looped_automatically(self):
         result = pi_pointed_gauge_plocal(SP2, 25, 5, 0, 5)
-        assert "O^1" in result.describes
+        assert result == pi_pointed_gauge_plocal(SP2, 25, 5, 0, 5, looped=True)
         # pi_4(Sp(2); Z_25) = 0 and pi_8(Sp(2)) = 0.
         assert result.group.is_trivial
 

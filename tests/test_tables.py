@@ -16,9 +16,23 @@ from bundlegauge.tables import (
 class TestLieGroupId:
     def test_parse_tokens(self):
         assert LieGroupId.parse("SU4") == LieGroupId("SU", 4)
+        assert LieGroupId.parse("SU(4)") == LieGroupId("SU", 4)
         assert LieGroupId.parse("Sp2") == LieGroupId("Sp", 2)
         assert LieGroupId.parse("Spin(8)") == LieGroupId("Spin", 8)
         assert LieGroupId.parse("E7") == LieGroupId("E7")
+
+    @pytest.mark.parametrize("token", ["SU(4", "SU4)", "SU()", "SU(4))", "Spin(8"])
+    def test_parse_rejects_malformed_parentheses(self, token):
+        with pytest.raises(ValueError, match="cannot parse"):
+            LieGroupId.parse(token)
+
+    def test_cli_reports_unbalanced_token_as_usage_error(self):
+        from bundlegauge.cli import EXIT_USAGE, run
+
+        for token in ("SU(4", "SU4)"):
+            result = run(["--json", "classify", "--group", token, "--l", "0", "--m", "5"])
+            assert result.exit_code == EXIT_USAGE
+            assert result.payload["status"] == "usage-error"
 
     def test_parameter_bounds(self):
         with pytest.raises(ValueError):
