@@ -316,21 +316,17 @@ def criterion_9_looped_plocal() -> tuple[bool, str]:
     checks = 0
     for p, r in ((5, 1), (7, 2)):
         q = p**r
-        for g, _, row in _PLOCAL_FAMILIES:
-            for n, expected in ((0, (0, 0)), (1, row)):
+        for g, _, pi1_row in _PLOCAL_FAMILIES:
+            for n, row in ((0, (0, 0)), (1, pi1_row)):
                 checks += 1
+                want = "unknown"
+                if row is not None:
+                    want = localize(make_group(row[0], [q] * row[1]), p).render()
                 try:
-                    got = gauge.pi_pointed_gauge_plocal(g, q, 1, n, p, looped=True)
+                    got = str(gauge.pi_pointed_gauge_plocal(g, q, 1, n, p, looped=True))
                 except UnknownValueError:
-                    if expected is not None:
-                        bad.append(f"{g} n={n} q={q}: unknown")
-                    continue
-                if expected is None:
-                    bad.append(f"{g} n={n} q={q}: {got} instead of unknown")
-                    continue
-                free, cyclic = expected
-                want = localize(make_group(free, [q] * cyclic), p)
-                if not got.complete or got.group != want:
+                    got = "unknown"
+                if got != want:
                     bad.append(f"{g} n={n} q={q}: {got} != {want}")
     return not bad, "; ".join(bad[:4]) or f"{checks} rows exact"
 
