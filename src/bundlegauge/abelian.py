@@ -3,7 +3,10 @@
 A group is stored in canonical form: a free rank plus a chain of
 invariant factors d_1 | d_2 | ... | d_s with every d_i >= 2.  Two groups
 are isomorphic exactly when their canonical forms are equal, so
-isomorphism testing is structural equality.
+isomorphism testing is structural equality.  The chain is reached by
+gcd/lcm exchange and primality is decided by deterministic Miller-Rabin,
+so no routine here factors an integer, and no cost depends on the prime
+factors of the input.
 
 A group may carry a localization tag "local at p".  Every torsion factor
 of a p-local group is a power of p, and free summands print as Z_(p)
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import LocalityError
 
@@ -41,15 +44,47 @@ __all__ = [
 ]
 
 
+# The first 13 primes are a complete strong-pseudoprime witness set for
+# every n below _MR_LIMIT (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for every n < 3.3 * 10**24.
+
+    Multiples of a witness base are answered at once.  Any other n at or
+    above 3,317,044,064,679,887,385,961,981 raises ValueError: no
+    probable answer is ever returned.
+
+    >>> is_prime(100000000000000003)
+    True
+    >>> is_prime(3215031751)  # strong pseudoprime to the bases 2, 3, 5, 7
+    False
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_LIMIT:
+        raise ValueError(
+            f"{n} is beyond the proven range of the primality test "
+            f"(n < {_MR_LIMIT})"
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -77,42 +112,23 @@ def _as_prime(p: int | Prime) -> int:
     return Prime(p).value
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; inputs here are small."""
-    result: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            result[p] = result.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result[n] = result.get(n, 0) + 1
-    return result
-
-
 def _invariant_factors(torsion: list[int]) -> tuple[int, ...]:
-    """Refactor arbitrary cyclic orders into a divisibility chain.
+    """Rewrite arbitrary cyclic orders as a divisibility chain.
 
-    Internally this is the primary decomposition: exponent lists per
-    prime, sorted descending, then recombined column by column.
+    Z_a + Z_b is isomorphic to Z_gcd(a,b) + Z_lcm(a,b).  Replacing each
+    pair (f_i, f_j), i < j, by (gcd, lcm) leaves f_i dividing every later
+    order, so one pass yields the chain; the orders that became 1 drop.
+    No order is ever factored.
     """
-    exponents: dict[int, list[int]] = {}
-    for d in torsion:
-        for p, e in _factorize(d).items():
-            exponents.setdefault(p, []).append(e)
-    for e_list in exponents.values():
-        e_list.sort(reverse=True)
-    depth = max((len(v) for v in exponents.values()), default=0)
-    factors = []
-    for j in range(depth):
-        f = 1
-        for p, e_list in exponents.items():
-            if j < len(e_list):
-                f *= p ** e_list[j]
-        factors.append(f)
-    factors.reverse()
-    return tuple(factors)
+    f = sorted(torsion)
+    n = len(f)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = f[i], f[j]
+            if b % a:
+                g = gcd(a, b)
+                f[i], f[j] = g, a // g * b
+    return tuple(f[f.count(1) :])  # in a divisibility chain the 1s lead
 
 
 @dataclass(frozen=True)
@@ -203,7 +219,7 @@ def make_group(free_rank: int, torsion: list[int] | tuple[int, ...]) -> AbGroup:
     """Build the canonical integral group with the given torsion orders.
 
     Torsion entries may come in any order and need not form a chain;
-    they are refactored through the primary decomposition.
+    they are rewritten as one by gcd/lcm exchange, without factoring.
 
     >>> make_group(0, [2, 12])
     AbGroup(free_rank=0, invariant_factors=(2, 12), local_prime=None)

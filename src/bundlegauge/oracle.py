@@ -7,15 +7,20 @@ canonical form.  It builds the cellular chain complex of a total space
 the 7-cell by zero since a closed orientable 7-manifold has H_7 = Z)
 and diagonalizes boundary matrices over the integers.
 
-Smith normal form uses exact Python integers with pivoting on the
-minimal nonzero absolute value, which keeps intermediate entries small.
-The matrices produced here are tiny, but the routine is generic and the
+Smith normal form uses exact Python integers.  Pivoting on the minimal
+nonzero absolute value does not by itself keep entries small: on a
+dense 40x40 matrix with one-digit entries they reach about 90,000
+digits, although the determinant has 52.  So the elimination works
+modulo a nonzero minor of full rank, found first by fraction-free
+Bareiss elimination, and no entry exceeds Hadamard's bound.  The
+matrices produced here are tiny, but the routine is generic and the
 CLI accepts arbitrary user complexes in a small text format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, NamedTuple
 
 from .abelian import AbGroup, make_group
@@ -51,29 +56,35 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        # Build each tuple from a list, at its final size: a tuple built
+        # from a generator is resized as it grows, which over many calls
+        # fragments the allocator and raises peak memory.
+        data = tuple([tuple([int(x) for x in row]) for row in rows])
         if cols is None:
             cols = len(data[0]) if data else 0
         return cls(len(data), cols, data)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        return cls(rows, cols, ((0,) * cols,) * rows)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
+        """Matrix product that multiplies nonzero entries only."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        data = tuple(
-            tuple(
-                sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            )
-            for i in range(self.rows)
-        )
-        return IntMatrix(self.rows, other.cols, data)
+        sparse = [[(j, y) for j, y in enumerate(row) if y] for row in other.entries]
+        data = []
+        for row in self.entries:
+            acc = [0] * other.cols
+            for k, x in enumerate(row):
+                if x:
+                    for j, y in sparse[k]:
+                        acc[j] += x * y
+            data.append(tuple(acc))
+        return IntMatrix(self.rows, other.cols, tuple(data))
 
 
 class SNFResult(NamedTuple):
@@ -94,6 +105,41 @@ def _min_pivot(a: list[list[int]], t: int) -> tuple[int, int] | None:
     return best
 
 
+def _bareiss_rank_minor(a: list[list[int]]) -> tuple[int, int]:
+    """Rank r and the absolute value of one nonzero r x r minor.
+
+    Fraction-free elimination in place: every intermediate entry is,
+    up to sign, a minor of the input, so each division is exact and no
+    entry exceeds Hadamard's bound.  The last pivot is the minor on the
+    pivot rows and columns; it is 1 for the zero matrix.
+
+    A row with a zero in the pivot column only gets scaled by p / prev.
+    When that factor is 1 or -1 the row is left as it is; for -1 that
+    amounts to negating an input row, which changes neither the rank nor
+    any |minor|.
+    """
+    nrows, ncols = len(a), len(a[0])
+    rank, prev = 0, 1
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, nrows) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        top = a[rank]
+        p = top[col]
+        for i in range(rank + 1, nrows):
+            row = a[i]
+            f = row[col]
+            if f == 0 and (p == prev or p == -prev):
+                continue
+            a[i] = [(x * p - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, abs(prev)
+
+
 def smith_normal_form(matrix: IntMatrix) -> SNFResult:
     """Diagonalize by unimodular row/column operations.
 
@@ -101,16 +147,25 @@ def smith_normal_form(matrix: IntMatrix) -> SNFResult:
     their divisibility chain, plus the rank.  The transformations are
     not tracked.
 
+    The rank r and a nonzero r x r minor M come from Bareiss
+    elimination.  Every invariant factor divides d_1...d_r, the gcd of
+    the r x r minors, and so divides M.  Min-pivot elimination then runs
+    on entries reduced mod M: this computes the invariants of the lattice
+    spanned by the columns and by M Z^rows, which are gcd(d_i, M) = d_i
+    for i <= r and M beyond.  Each pivot e gives gcd(e, M), and pivots
+    still missing after the entries vanish mod M are M.
+
     >>> smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
     SNFResult(diagonal=(1, 6), rank=2)
     """
     if matrix.rows == 0 or matrix.cols == 0:
         return SNFResult((), 0)
-    a = [list(row) for row in matrix.entries]
+    r, modulus = _bareiss_rank_minor([list(row) for row in matrix.entries])
+    a = [[x % modulus for x in row] for row in matrix.entries]
     nrows, ncols = matrix.rows, matrix.cols
     diagonal: list[int] = []
     t = 0
-    while t < min(nrows, ncols):
+    while t < r:
         pos = _min_pivot(a, t)
         if pos is None:
             break
@@ -120,14 +175,16 @@ def smith_normal_form(matrix: IntMatrix) -> SNFResult:
             row[t], row[j] = row[j], row[t]
         while True:
             # Clear the pivot column, restarting if a smaller remainder
-            # shows up (it becomes the new pivot).
+            # shows up (it becomes the new pivot).  Entries stay in
+            # [0, modulus), so the pivot is positive and each remainder
+            # is smaller than it.
             restart = False
             for i in range(t + 1, nrows):
                 if a[i][t] == 0:
                     continue
                 q = a[i][t] // a[t][t]
                 for j in range(t, ncols):
-                    a[i][j] -= q * a[t][j]
+                    a[i][j] = (a[i][j] - q * a[t][j]) % modulus
                 if a[i][t] != 0:
                     a[t], a[i] = a[i], a[t]
                     restart = True
@@ -139,7 +196,7 @@ def smith_normal_form(matrix: IntMatrix) -> SNFResult:
                     continue
                 q = a[t][j] // a[t][t]
                 for i in range(t, nrows):
-                    a[i][j] -= q * a[i][t]
+                    a[i][j] = (a[i][j] - q * a[i][t]) % modulus
                 if a[t][j] != 0:
                     for row in a:
                         row[t], row[j] = row[j], row[t]
@@ -147,23 +204,23 @@ def smith_normal_form(matrix: IntMatrix) -> SNFResult:
                     break
             if restart:
                 continue
-            # Pivot must divide the rest of the submatrix for the
-            # diagonal to be a divisibility chain.
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # gcd(pivot, modulus) must divide the rest of the submatrix
+            # for the diagonal to be a divisibility chain.
+            g = gcd(a[t][t], modulus)
+            if g == 1:
+                break
+            offender = next(
+                (i for i in range(t + 1, nrows) if any(x % g for x in a[i][t + 1 :])),
+                None,
+            )
             if offender is None:
                 break
             for j in range(t, ncols):
-                a[t][j] += a[offender][j]
-        diagonal.append(abs(a[t][t]))
+                a[t][j] = (a[t][j] + a[offender][j]) % modulus
+        diagonal.append(g)
         t += 1
-    return SNFResult(tuple(diagonal), len(diagonal))
+    diagonal.extend([modulus] * (r - t))
+    return SNFResult(tuple(diagonal), r)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,7 @@ from bundlegauge.abelian import (
     Prime,
     direct_sum,
     is_isomorphic,
+    is_prime,
     localize,
     make_group,
     parse_group,
@@ -49,6 +52,42 @@ class TestMakeGroup:
     def test_rejects_broken_chain_in_raw_constructor(self):
         with pytest.raises(ValueError):
             AbGroup(0, (4, 6))
+
+
+def primary_invariant_factors(orders):
+    """Invariant factors through the primary decomposition: factor each
+    order by trial division, sort each prime's exponents, recombine.
+    A route of its own, independent of the gcd/lcm exchange under test."""
+    exponents = {}
+    for n in orders:
+        p = 2
+        while p * p <= n:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+            p += 1
+        if n > 1:
+            exponents.setdefault(n, []).append(1)
+    depth = max((len(v) for v in exponents.values()), default=0)
+    chain = [1] * depth
+    for p, e_list in exponents.items():
+        for j, e in enumerate(sorted(e_list, reverse=True)):
+            chain[j] *= p**e
+    return tuple(reversed(chain))
+
+
+class TestAgainstPrimaryDecomposition:
+    @given(
+        st.integers(0, 3),
+        st.lists(st.integers(min_value=2, max_value=10_000), max_size=6),
+    )
+    def test_make_group(self, rank, orders):
+        g = make_group(rank, orders)
+        assert g.free_rank == rank
+        assert g.invariant_factors == primary_invariant_factors(orders)
 
 
 class TestIsomorphism:
@@ -150,6 +189,47 @@ class TestPrime:
         for bad in (0, 1, 4, 9, 15):
             with pytest.raises(ValueError):
                 Prime(bad)
+
+
+class TestIsPrime:
+    def test_agrees_with_a_sieve_below_1e5(self):
+        n = 100_000
+        sieve = bytearray([1]) * n
+        sieve[0] = sieve[1] = 0
+        for i in range(2, 317):
+            if sieve[i]:
+                sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+        assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+    @pytest.mark.parametrize(
+        "n,factors",
+        [
+            (3215031751, (151, 751, 28351)),
+            (3825123056546413051, (149491, 747451, 34233211)),
+            (318665857834031151167461, (399165290221, 798330580441)),
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n, factors):
+        # Strong pseudoprimes to every prime base up to 7, 31 and 37:
+        # only the bases 11, 37 and 41 respectively expose them.
+        assert math.prod(factors) == n
+        assert not is_prime(n)
+
+    def test_large_prime_answered(self):
+        assert is_prime(1_000_000_000_000_000_003)
+        assert not is_prime(1_000_000_000_000_000_001)
+
+    def test_refuses_beyond_the_proven_range(self):
+        # 1287836182261 * 2575672364521 is a strong pseudoprime to all 13
+        # bases: the least one, so every smaller n is decided exactly.
+        with pytest.raises(ValueError, match="proven range"):
+            is_prime(3317044064679887385961981)
+        with pytest.raises(ValueError, match="proven range"):
+            Prime(3400000000000000000000009)
+
+    def test_multiples_of_a_base_answered_beyond_the_range(self):
+        assert not is_prime(41 * 10**30)
+        assert is_prime(41)
 
 
 class TestRendering:

@@ -62,6 +62,24 @@ class TestSmithNormalForm:
         assert smith_normal_form(IntMatrix.zero(3, 4)) == ((), 0)
         assert smith_normal_form(IntMatrix.zero(0, 5)) == ((), 0)
 
+    def test_dependent_row_kept(self):
+        # One nonzero 1x1 minor, say 2, is the modulus; keeping the row
+        # (3) in the elimination gives gcd 1, dropping it would give 2.
+        assert smith_normal_form(IntMatrix.from_rows([[2], [3]])) == ((1,), 1)
+
+    def test_pivot_vanishing_mod_the_minor_is_the_minor(self):
+        # The minor is 6, so 6 reduces to 0 and the missing pivot is 6.
+        assert smith_normal_form(IntMatrix.from_rows([[1, 0], [0, 6]])) == ((1, 6), 2)
+        assert smith_normal_form(IntMatrix.from_rows([[6]])) == ((6,), 1)
+
+    def test_unimodular_minor(self):
+        assert smith_normal_form(IntMatrix.from_rows([[1, 2], [3, 7]])) == ((1, 1), 2)
+        assert smith_normal_form(IntMatrix.from_rows([[2, 3, 4]])) == ((1,), 1)
+
+    def test_all_zero_entries(self):
+        assert smith_normal_form(IntMatrix.from_rows([[0]])) == ((), 0)
+        assert smith_normal_form(IntMatrix.from_rows([[0, 0], [0, 0]])) == ((), 0)
+
     @settings(max_examples=300)
     @given(small_matrices())
     def test_against_determinantal_divisors(self, matrix):
@@ -87,6 +105,29 @@ class TestSmithNormalForm:
             list(map(list, zip(*transposed))), cols=matrix.cols
         )
         assert smith_normal_form(shuffled) == smith_normal_form(matrix)
+
+
+class TestProduct:
+    @given(small_matrices(), st.integers(1, 4), st.data())
+    def test_against_the_defining_sum(self, left, cols, data):
+        right = data.draw(
+            st.lists(
+                st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                min_size=left.cols,
+                max_size=left.cols,
+            )
+        )
+        product = left.mul(IntMatrix.from_rows(right, cols=cols))
+        assert product.entries == tuple(
+            tuple(
+                sum(left.entries[i][k] * right[k][j] for k in range(left.cols))
+                for j in range(cols)
+            )
+            for i in range(left.rows)
+        )
+
+    def test_empty_inner_dimension(self):
+        assert IntMatrix.zero(2, 0).mul(IntMatrix.zero(0, 3)) == IntMatrix.zero(2, 3)
 
 
 class TestChainComplex:
