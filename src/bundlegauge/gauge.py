@@ -52,18 +52,7 @@ from .bundles import BundleClass, require_pi6_zero
 from .errors import OutOfScopeError, UnknownValueError
 from .manifolds import twist_class
 from .spaces import (
-    GaugeS4,
-    LieAtom,
-    Localized,
-    Loop,
-    MapStarY,
-    ModLoop,
-    Moore,
-    Point,
-    Product,
     SpaceExpr,
-    Sphere,
-    XFiber,
     gauge_s4,
     lie,
     localized,
@@ -111,7 +100,7 @@ _CAVEAT_GAUGE_S4 = (
     "gauge groups over S^4, it does not resolve them"
 )
 
-_OPAQUE_ATOMS = (GaugeS4, XFiber)
+_OPAQUE_KINDS = ("gauge-s4", "x-fiber")
 
 
 def _caveat_map_star(t: int, g: LieGroupId) -> str:
@@ -145,7 +134,7 @@ class DecompositionResult:
 
     def __post_init__(self) -> None:
         has_opaque = any(
-            isinstance(a, _OPAQUE_ATOMS) or (isinstance(a, MapStarY) and a.t != 0)
+            a.kind in _OPAQUE_KINDS or (a.kind == "map-star-y" and a.args[0] != 0)
             for a in self.expr.atoms()
         )
         if has_opaque and not self.caveats:
@@ -370,61 +359,60 @@ def pi_of_expr(expr: SpaceExpr, n: int, table: PiTable | None = None) -> PiValue
 
     Loop atoms over spheres and Lie groups resolve through the tables;
     mod-m loop spaces go through the universal-coefficient sequence;
-    opaque atoms contribute symbolic summands.  Wedges are only resolved
-    in trivial cases, since pi_n is not additive over wedges.
+    every other node (the opaque atoms, Map*(Y_t, G) for t != 0, wedges)
+    contributes the symbolic summand pi_n(<its text>), since pi_n is not
+    additive over wedges.
     """
     table = table or default_table()
     if n < 0:
         raise ValueError("homotopy degree must be nonnegative")
-    if isinstance(expr, Point):
-        return PiValue(TRIVIAL)
-    if isinstance(expr, Localized):
-        inner = pi_of_expr(expr.inner, n, table)
-        return PiValue(
-            localize(inner.group, expr.p),
-            tuple(f"({s})_({expr.p})" for s in inner.symbolic),
-            inner.notes,
-            inner.sources,
-        )
-    if isinstance(expr, Product):
-        return _merge([pi_of_expr(f, n, table) for f in expr.factors])
-    if isinstance(expr, LieAtom):
-        rec = table.lie_record(expr.group, n)
-        return PiValue(rec.group, sources=(rec.source,))
-    if isinstance(expr, Sphere):
-        rec = table.sphere_record(expr.n, n)
-        return PiValue(rec.group, sources=(rec.source,))
-    if isinstance(expr, Loop):
-        if expr.component0 and n == 0:
+    match expr.kind:
+        case "point":
             return PiValue(TRIVIAL)
-        inner = pi_of_expr(expr.inner, n + expr.n, table)
-        return inner
-    if isinstance(expr, ModLoop):
-        if expr.component0 and n == 0:
-            return PiValue(TRIVIAL)
-        cg = _coefficient_group(expr.group, n + expr.n, expr.modulus, table)
-        notes = ()
-        if cg.extension_split_assumed:
-            notes = (
-                f"pi_{n + expr.n}({expr.group}; Z_{expr.modulus}) assumed to "
-                "split as tensor + Tor",
+        case "localized":
+            p, inner_expr = expr.args
+            inner = pi_of_expr(inner_expr, n, table)
+            return PiValue(
+                localize(inner.group, p),
+                tuple(f"({s})_({p})" for s in inner.symbolic),
+                inner.notes,
+                inner.sources,
             )
-        return PiValue(cg.group, notes=notes, sources=cg.sources)
-    if isinstance(expr, MapStarY):
-        if expr.t == 0:
+        case "product":
+            return _merge([pi_of_expr(f, n, table) for f in expr.args[0]])
+        case "lie-group":
+            rec = table.lie_record(expr.args[0], n)
+            return PiValue(rec.group, sources=(rec.source,))
+        case "sphere":
+            rec = table.sphere_record(expr.args[0], n)
+            return PiValue(rec.group, sources=(rec.source,))
+        case "loop":
+            degree, component0, inner_expr = expr.args
+            if component0 and n == 0:
+                return PiValue(TRIVIAL)
+            return pi_of_expr(inner_expr, n + degree, table)
+        case "mod-loop":
+            degree, component0, g, modulus = expr.args
+            if component0 and n == 0:
+                return PiValue(TRIVIAL)
+            cg = _coefficient_group(g, n + degree, modulus, table)
+            notes = ()
+            if cg.extension_split_assumed:
+                notes = (
+                    f"pi_{n + degree}({g}; Z_{modulus}) assumed to "
+                    "split as tensor + Tor",
+                )
+            return PiValue(cg.group, notes=notes, sources=cg.sources)
+        case "map-star-y" if expr.args[0] == 0:
+            g = expr.args[1]
             return _merge(
                 [
-                    pi_of_expr(loop(3, lie(expr.group)), n, table),
-                    pi_of_expr(loop(7, lie(expr.group)), n, table),
+                    pi_of_expr(loop(3, lie(g)), n, table),
+                    pi_of_expr(loop(7, lie(g)), n, table),
                 ]
             )
-        return PiValue(TRIVIAL, (f"pi_{n}(Map*(Y_{expr.t}, {expr.group}))",))
-    if isinstance(expr, GaugeS4):
-        return PiValue(TRIVIAL, (f"pi_{n}(G^{expr.k}(S^4))",))
-    if isinstance(expr, XFiber):
-        return PiValue(TRIVIAL, (f"pi_{n}(X_{expr.k})",))
-    if isinstance(expr, Moore) and expr.n == 4 and n == 6:
-        return PiValue(pi6_moore(expr.m), sources=(pi6_moore_source(),))
+        case "moore" if expr.args[0] == 4 and n == 6:
+            return PiValue(pi6_moore(expr.args[1]), sources=(pi6_moore_source(),))
     return PiValue(TRIVIAL, (f"pi_{n}({expr.render()})",))
 
 

@@ -7,6 +7,11 @@ Products and wedges are flattened and sorted by a fixed total order on
 atoms, so two decompositions are "the same" exactly when their canonical
 trees are equal.
 
+Every node is a SpaceExpr(kind, args).  The table KINDS gives each kind
+its rank in the sort order, its text form and its JSON tree; the
+canonical constructors below check the arguments and are the only way
+to build a node.
+
 Collapsing rules are deliberately minimal: the point is a unit for both
 connectives, P^n(1) and the mod-1 loop space collapse to the point, and
 nothing else is rewritten.  In particular a based loop space and its
@@ -21,26 +26,14 @@ Text grammar (documented in docs/expression-grammar.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .abelian import is_prime
 from .tables import LieGroupId
 
 __all__ = [
     "SpaceExpr",
-    "Point",
-    "Sphere",
-    "Moore",
-    "LieAtom",
-    "Loop",
-    "ModLoop",
-    "MapStarY",
-    "GaugeS4",
-    "XFiber",
-    "YCofiber",
-    "Product",
-    "Wedge",
-    "Localized",
+    "KINDS",
     "POINT",
     "sphere",
     "moore",
@@ -57,164 +50,181 @@ __all__ = [
 ]
 
 
-class SpaceExpr:
-    """Base class; all concrete expressions are frozen dataclasses."""
+class SpaceExpr(NamedTuple):
+    """One node: a kind of KINDS and its arguments, stored in sort order.
+    Arguments are integers, flags, Lie groups, nodes, or (for products
+    and wedges) a sorted tuple of nodes.
 
-    def render(self) -> str:
-        raise NotImplementedError
-
-    def sort_key(self) -> tuple:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-    def atoms(self):
-        """Iterate over the leaf atoms of the tree."""
-        yield self
-
-    def __str__(self) -> str:
-        return self.render()
-
-
-@dataclass(frozen=True)
-class Point(SpaceExpr):
-    def render(self) -> str:
-        return "*"
-
-    def sort_key(self) -> tuple:
-        return (9,)
-
-    def to_json(self) -> dict:
-        return {"type": "point"}
-
-
-POINT = Point()
-
-
-@dataclass(frozen=True)
-class Sphere(SpaceExpr):
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("sphere dimension must be >= 1")
-
-    def render(self) -> str:
-        return f"S^{self.n}"
-
-    def sort_key(self) -> tuple:
-        return (7, self.n)
-
-    def to_json(self) -> dict:
-        return {"type": "sphere", "n": self.n}
-
-
-@dataclass(frozen=True)
-class Moore(SpaceExpr):
-    """P^n(m): single reduced homology group Z_m in degree n-1."""
-
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2 or self.m < 2:
-            raise ValueError("Moore space needs n >= 2 and m >= 2")
-
-    def render(self) -> str:
-        return f"P^{self.n}({self.m})"
-
-    def sort_key(self) -> tuple:
-        return (6, self.n, self.m)
-
-    def to_json(self) -> dict:
-        return {"type": "moore", "n": self.n, "m": self.m}
-
-
-@dataclass(frozen=True)
-class LieAtom(SpaceExpr):
-    group: LieGroupId
-
-    def render(self) -> str:
-        return str(self.group)
-
-    def sort_key(self) -> tuple:
-        return (1, self.group.family, self.group.n or 0)
-
-    def to_json(self) -> dict:
-        return {"type": "lie-group", "group": self.group.token()}
-
-
-@dataclass(frozen=True)
-class Loop(SpaceExpr):
-    """O^n[X], or its basepoint component O^n_0[X] when component0 is set."""
-
-    n: int
-    inner: SpaceExpr
-    component0: bool = False
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("loop degree must be >= 1")
-
-    def render(self) -> str:
-        sub = "_0" if self.component0 else ""
-        return f"O^{self.n}{sub}[{self.inner.render()}]"
-
-    def sort_key(self) -> tuple:
-        return (2, self.n, int(self.component0), self.inner.sort_key())
-
-    def to_json(self) -> dict:
-        return {
-            "type": "loop",
-            "n": self.n,
-            "component0": self.component0,
-            "inner": self.inner.to_json(),
-        }
-
-
-@dataclass(frozen=True)
-class ModLoop(SpaceExpr):
-    """The mod-m loop space O^n[G]{m}: maps from P^{n+1}(m) to BG.
-
-    It is the fiber of the m-th power map on the n-fold loop space of G.
+    Nodes compare in the canonical order, by sort key, not as tuples.
     """
 
-    n: int
-    group: LieGroupId
-    modulus: int
-    component0: bool = False
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.modulus < 2:
-            raise ValueError("mod loop space needs n >= 1 and modulus >= 2")
+    kind: str
+    args: tuple = ()
 
     def render(self) -> str:
-        sub = "_0" if self.component0 else ""
-        return f"O^{self.n}{sub}[{self.group}]{{{self.modulus}}}"
-
-    def sort_key(self) -> tuple:
-        return (
-            3,
-            self.n,
-            int(self.component0),
-            self.group.family,
-            self.group.n or 0,
-            self.modulus,
-        )
+        kind, args = self
+        return KINDS[kind].render(*args)
 
     def to_json(self) -> dict:
-        return {
-            "type": "mod-loop",
-            "n": self.n,
-            "component0": self.component0,
-            "group": self.group.token(),
-            "modulus": self.modulus,
-        }
+        kind, args = self
+        return KINDS[kind].json(*args)
+
+    def sort_key(self) -> tuple:
+        """The kind's rank, then the arguments: a child node compares by
+        its own sort key, a Lie group by (family, n)."""
+        kind, args = self
+        return (KINDS[kind].rank, *args)
+
+    def __lt__(self, other):
+        return self.sort_key() < other.sort_key()
+
+    def __le__(self, other):
+        return self.sort_key() <= other.sort_key()
+
+    def __gt__(self, other):
+        return self.sort_key() > other.sort_key()
+
+    def __ge__(self, other):
+        return self.sort_key() >= other.sort_key()
+
+    def atoms(self):
+        """Iterate over the leaf atoms: every node below the connectives."""
+        if self.kind == "localized":
+            yield from self.args[1].atoms()
+        elif self.kind in ("product", "wedge"):
+            for part in self.args[0]:
+                yield from part.atoms()
+        else:
+            yield self
+
+    __str__ = render
 
 
-@dataclass(frozen=True)
-class MapStarY(SpaceExpr):
+def _operand(expr: SpaceExpr) -> str:
+    if expr.kind in ("product", "wedge", "localized"):
+        return f"({expr.render()})"
+    return expr.render()
+
+
+class Kind(NamedTuple):
+    rank: int
+    render: Callable[..., str]
+    json: Callable[..., dict]
+
+
+# Each kind's rank in the canonical order, then its text and its JSON
+# tree as functions of the node's arguments (a node formats as its
+# text).  A loop space or a mod-m loop space marks its basepoint
+# component with the subscript _0.
+KINDS: dict[str, Kind] = {
+    "gauge-s4": Kind(
+        0,
+        "G^{1}(S^4)".format,
+        lambda g, k: {"type": "gauge-s4", "group": g.token(), "k": k},
+    ),
+    "lie-group": Kind(1, str, lambda g: {"type": "lie-group", "group": g.token()}),
+    "loop": Kind(
+        2,
+        lambda n, c0, x: f"O^{n}{'_0' if c0 else ''}[{x.render()}]",
+        lambda n, c0, x: {
+            "type": "loop", "n": n, "component0": c0, "inner": x.to_json()
+        },
+    ),
+    "mod-loop": Kind(
+        3,
+        lambda n, c0, g, m: f"O^{n}{'_0' if c0 else ''}[{g}]{{{m}}}",
+        lambda n, c0, g, m: {
+            "type": "mod-loop", "n": n, "component0": c0, "group": g.token(),
+            "modulus": m,
+        },
+    ),
+    "map-star-y": Kind(
+        4,
+        "Map*(Y_{}, {})".format,
+        lambda t, g: {"type": "map-star-y", "t": t, "group": g.token()},
+    ),
+    "x-fiber": Kind(
+        5,
+        "X_{}".format,
+        lambda k, m, g: {"type": "x-fiber", "group": g.token(), "m": m, "k": k},
+    ),
+    "moore": Kind(
+        6, "P^{}({})".format, lambda n, m: {"type": "moore", "n": n, "m": m}
+    ),
+    "sphere": Kind(7, "S^{}".format, lambda n: {"type": "sphere", "n": n}),
+    "y-cofiber": Kind(
+        8,
+        lambda s, t: f"{'SY' if s else 'Y'}_{t}",
+        lambda s, t: {"type": "y-cofiber", "t": t, "suspended": s},
+    ),
+    "point": Kind(9, "*".format, lambda: {"type": "point"}),
+    "product": Kind(
+        10,
+        lambda fs: " x ".join(map(_operand, fs)),
+        lambda fs: {"type": "product", "factors": [f.to_json() for f in fs]},
+    ),
+    "wedge": Kind(
+        11,
+        lambda ss: " v ".join(map(_operand, ss)),
+        lambda ss: {"type": "wedge", "summands": [s.to_json() for s in ss]},
+    ),
+    "localized": Kind(
+        12,
+        "{1} @ ({0})".format,
+        lambda p, x: {"type": "localized", "p": p, "inner": x.to_json()},
+    ),
+}
+
+POINT = SpaceExpr("point")
+
+
+# Canonical constructors: they check the arguments, apply the collapsing
+# rules and the sort order.
+
+
+def sphere(n: int) -> SpaceExpr:
+    if n < 1:
+        raise ValueError("sphere dimension must be >= 1")
+    return SpaceExpr("sphere", (n,))
+
+
+def moore(n: int, m: int) -> SpaceExpr:
+    """P^n(m): single reduced homology group Z_m in degree n-1; the
+    degree-1 attaching map gives a contractible space."""
+    if m == 1:
+        return POINT
+    if n < 2 or m < 2:
+        raise ValueError("Moore space needs n >= 2 and m >= 2")
+    return SpaceExpr("moore", (n, m))
+
+
+def lie(group: LieGroupId) -> SpaceExpr:
+    return SpaceExpr("lie-group", (group,))
+
+
+def loop(n: int, inner: SpaceExpr, component0: bool = False) -> SpaceExpr:
+    """O^n[X], or its basepoint component O^n_0[X] when component0 is set."""
+    if inner.kind == "point":
+        return POINT
+    if n < 1:
+        raise ValueError("loop degree must be >= 1")
+    return SpaceExpr("loop", (n, component0, inner))
+
+
+def mod_loop(
+    n: int, group: LieGroupId, modulus: int, component0: bool = False
+) -> SpaceExpr:
+    """The mod-m loop space O^n[G]{m}: maps from P^{n+1}(m) to BG, the
+    fiber of the m-th power map on the n-fold loop space of G.  Modulus 1
+    collapses to the point."""
+    if modulus == 1:
+        return POINT
+    if n < 1 or modulus < 2:
+        raise ValueError("mod loop space needs n >= 1 and modulus >= 2")
+    return SpaceExpr("mod-loop", (n, component0, group, modulus))
+
+
+def map_star_y(t: int, group: LieGroupId) -> SpaceExpr:
     """Map_*(Y_t, G) where Y_t is the three-cell complex S^3 u e^7
     attached by t times a generator of pi_6(S^3) = Z_12.
 
@@ -222,244 +232,67 @@ class MapStarY(SpaceExpr):
     t = 0 the space splits and the decomposition routines expand it, so
     an atom with t = 0 should not normally appear in results.
     """
-
-    t: int
-    group: LieGroupId
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.t <= 6:
-            raise ValueError("twist class must be the canonical value in 0..6")
-
-    def render(self) -> str:
-        return f"Map*(Y_{self.t}, {self.group})"
-
-    def sort_key(self) -> tuple:
-        return (4, self.t, self.group.family, self.group.n or 0)
-
-    def to_json(self) -> dict:
-        return {"type": "map-star-y", "t": self.t, "group": self.group.token()}
-
-
-@dataclass(frozen=True)
-class GaugeS4(SpaceExpr):
-    """G^k(S^4): the gauge group over S^4 of the class-k bundle, kept opaque."""
-
-    group: LieGroupId
-    k: int
-
-    def render(self) -> str:
-        return f"G^{self.k}(S^4)"
-
-    def sort_key(self) -> tuple:
-        return (0, self.group.family, self.group.n or 0, self.k)
-
-    def to_json(self) -> dict:
-        return {"type": "gauge-s4", "group": self.group.token(), "k": self.k}
-
-
-@dataclass(frozen=True)
-class XFiber(SpaceExpr):
-    """The opaque total space X_k of the fibration
-    O^4_0[G]{m} -> X_k -> O^1[G]; known only through that fibration
-    unless p^r divides k."""
-
-    group: LieGroupId
-    m: int
-    k: int
-
-    def render(self) -> str:
-        return f"X_{self.k}"
-
-    def sort_key(self) -> tuple:
-        return (5, self.k, self.m, self.group.family, self.group.n or 0)
-
-    def to_json(self) -> dict:
-        return {
-            "type": "x-fiber",
-            "group": self.group.token(),
-            "m": self.m,
-            "k": self.k,
-        }
-
-
-@dataclass(frozen=True)
-class YCofiber(SpaceExpr):
-    """Y_t (or its suspension SY_t): cofiber of t times a generator of
-    pi_6(S^3), with t the canonical twist in 0..6."""
-
-    t: int
-    suspended: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.t <= 6:
-            raise ValueError("twist class must be the canonical value in 0..6")
-
-    def render(self) -> str:
-        prefix = "SY" if self.suspended else "Y"
-        return f"{prefix}_{self.t}"
-
-    def sort_key(self) -> tuple:
-        return (8, int(self.suspended), self.t)
-
-    def to_json(self) -> dict:
-        return {"type": "y-cofiber", "t": self.t, "suspended": self.suspended}
-
-
-def _render_operand(expr: SpaceExpr) -> str:
-    if isinstance(expr, (Product, Wedge, Localized)):
-        return f"({expr.render()})"
-    return expr.render()
-
-
-@dataclass(frozen=True)
-class Product(SpaceExpr):
-    factors: tuple[SpaceExpr, ...]
-
-    def render(self) -> str:
-        return " x ".join(_render_operand(f) for f in self.factors)
-
-    def sort_key(self) -> tuple:
-        return (10, tuple(f.sort_key() for f in self.factors))
-
-    def to_json(self) -> dict:
-        return {"type": "product", "factors": [f.to_json() for f in self.factors]}
-
-    def atoms(self):
-        for f in self.factors:
-            yield from f.atoms()
-
-
-@dataclass(frozen=True)
-class Wedge(SpaceExpr):
-    summands: tuple[SpaceExpr, ...]
-
-    def render(self) -> str:
-        return " v ".join(_render_operand(s) for s in self.summands)
-
-    def sort_key(self) -> tuple:
-        return (11, tuple(s.sort_key() for s in self.summands))
-
-    def to_json(self) -> dict:
-        return {"type": "wedge", "summands": [s.to_json() for s in self.summands]}
-
-    def atoms(self):
-        for s in self.summands:
-            yield from s.atoms()
-
-
-@dataclass(frozen=True)
-class Localized(SpaceExpr):
-    """A p-local homotopy type; rendered with the loosest-binding @ (p)."""
-
-    p: int
-    inner: SpaceExpr
-
-    def render(self) -> str:
-        return f"{self.inner.render()} @ ({self.p})"
-
-    def sort_key(self) -> tuple:
-        return (12, self.p, self.inner.sort_key())
-
-    def to_json(self) -> dict:
-        return {"type": "localized", "p": self.p, "inner": self.inner.to_json()}
-
-    def atoms(self):
-        yield from self.inner.atoms()
-
-
-# Canonical constructors.  Use these, not the dataclasses, when building
-# expressions: they apply the collapsing rules and the sort order.
-
-
-def sphere(n: int) -> SpaceExpr:
-    return Sphere(n)
-
-
-def moore(n: int, m: int) -> SpaceExpr:
-    """P^n(m); the degree-1 attaching map gives a contractible space."""
-    if m == 1:
-        return POINT
-    return Moore(n, m)
-
-
-def lie(group: LieGroupId) -> SpaceExpr:
-    return LieAtom(group)
-
-
-def loop(n: int, inner: SpaceExpr, component0: bool = False) -> SpaceExpr:
-    if isinstance(inner, Point):
-        return POINT
-    return Loop(n, inner, component0)
-
-
-def mod_loop(
-    n: int, group: LieGroupId, modulus: int, component0: bool = False
-) -> SpaceExpr:
-    """O^n[G]{m}; modulus 1 collapses to the point."""
-    if modulus == 1:
-        return POINT
-    return ModLoop(n, group, modulus, component0)
-
-
-def map_star_y(t: int, group: LieGroupId) -> SpaceExpr:
-    return MapStarY(t, group)
+    if not 0 <= t <= 6:
+        raise ValueError("twist class must be the canonical value in 0..6")
+    return SpaceExpr("map-star-y", (t, group))
 
 
 def gauge_s4(group: LieGroupId, k: int) -> SpaceExpr:
-    return GaugeS4(group, k)
+    """G^k(S^4): the gauge group over S^4 of the class-k bundle, kept opaque."""
+    return SpaceExpr("gauge-s4", (group, k))
 
 
 def x_fiber(group: LieGroupId, m: int, k: int) -> SpaceExpr:
-    return XFiber(group, m, k)
+    """The opaque total space X_k of the fibration
+    O^4_0[G]{m} -> X_k -> O^1[G]; known only through that fibration
+    unless p^r divides k."""
+    return SpaceExpr("x-fiber", (k, m, group))
 
 
 def y_cofiber(t: int, suspended: bool = False) -> SpaceExpr:
-    return YCofiber(t, suspended)
+    """Y_t (or its suspension SY_t): cofiber of t times a generator of
+    pi_6(S^3), with t the canonical twist in 0..6."""
+    if not 0 <= t <= 6:
+        raise ValueError("twist class must be the canonical value in 0..6")
+    return SpaceExpr("y-cofiber", (suspended, t))
 
 
-def _flatten(parts, connective) -> list[SpaceExpr]:
-    out: list[SpaceExpr] = []
+def _connect(kind: str, parts: tuple[SpaceExpr, ...]) -> SpaceExpr:
+    """Flatten nested nodes of the same connective, drop points, sort."""
+    flat: list[SpaceExpr] = []
     for part in parts:
-        if isinstance(part, connective):
-            inner = part.factors if connective is Product else part.summands
-            out.extend(_flatten(inner, connective))
-        elif isinstance(part, Point):
-            continue
-        else:
-            out.append(part)
-    return out
+        if part.kind == kind:
+            flat.extend(part.args[0])
+        elif part.kind != "point":
+            flat.append(part)
+    if not flat:
+        return POINT
+    if len(flat) == 1:
+        return flat[0]
+    flat.sort(key=SpaceExpr.sort_key)
+    return SpaceExpr(kind, (tuple(flat),))
 
 
 def product(*factors: SpaceExpr) -> SpaceExpr:
     """Flattened, sorted product; the point is the unit."""
-    flat = sorted(_flatten(factors, Product), key=lambda e: e.sort_key())
-    if not flat:
-        return POINT
-    if len(flat) == 1:
-        return flat[0]
-    return Product(tuple(flat))
+    return _connect("product", factors)
 
 
 def wedge(*summands: SpaceExpr) -> SpaceExpr:
     """Flattened, sorted wedge; the point is the unit."""
-    flat = sorted(_flatten(summands, Wedge), key=lambda e: e.sort_key())
-    if not flat:
-        return POINT
-    if len(flat) == 1:
-        return flat[0]
-    return Wedge(tuple(flat))
+    return _connect("wedge", summands)
 
 
 def localized(p: int, inner: SpaceExpr) -> SpaceExpr:
     """Tag an expression as p-local.  Idempotent at the same prime."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if isinstance(inner, Point):
+    if inner.kind == "point":
         return POINT
-    if isinstance(inner, Localized):
-        if inner.p == p:
+    if inner.kind == "localized":
+        if inner.args[0] == p:
             return inner
         raise ValueError(
-            f"expression is already local at {inner.p}, cannot localize at {p}"
+            f"expression is already local at {inner.args[0]}, cannot localize at {p}"
         )
-    return Localized(p, inner)
+    return SpaceExpr("localized", (p, inner))

@@ -41,12 +41,14 @@ _FAMILIES = ("SU", "Sp", "Spin", "G2", "F4", "E6", "E7", "E8")
 _MIN_RANK = {"SU": 2, "Sp": 1, "Spin": 5}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LieGroupId:
     """A simply connected simple compact Lie group: family plus rank.
 
     The exceptional families carry no rank parameter.  SU(2) and Sp(1)
-    are distinct identifiers that report as isomorphic.
+    are distinct identifiers that report as isomorphic.  Identifiers
+    order by family, then rank, which is how canonical expressions sort
+    their Lie-group arguments.
     """
 
     family: str

@@ -22,7 +22,6 @@ from bundlegauge.gauge import (
 )
 from bundlegauge.manifolds import normalize
 from bundlegauge.spaces import (
-    ModLoop,
     gauge_s4,
     lie,
     localized,
@@ -121,7 +120,7 @@ class TestPlocal:
     def test_divisibility_uses_p_part_only(self):
         # m = 50, r = v_5(50) = 2: k = 25 is divisible by 5^2, k = 5 is not.
         expanded = decompose_plocal(SP2, 1, 50, 25, 5)
-        assert not any(isinstance(a, type(x_fiber(SP2, 50, 25))) for a in expanded.expr.atoms())
+        assert not any(a.kind == "x-fiber" for a in expanded.expr.atoms())
         opaque = decompose_plocal(SP2, 1, 50, 5, 5)
         assert "X_5" in opaque.expr.render()
 
@@ -258,7 +257,7 @@ class TestPiOfExpr:
 
     def test_mod_loop_extension_flag_surfaces_as_note(self):
         # Integrally, pi_5(SU(2)) x Z_12 and Tor(pi_4(SU(2)), Z_12) are both Z_2.
-        value = pi_of_expr(ModLoop(4, SU2, 12), 1)
+        value = pi_of_expr(mod_loop(4, SU2, 12), 1)
         assert value.group == make_group(0, [2, 2])
         assert value.notes
 
