@@ -48,12 +48,17 @@ EXIT_UNKNOWN = 3
 
 
 class UsageError(Exception):
-    pass
+    """A malformed command line; command names the subcommand whose
+    arguments failed to parse, if any."""
+
+    def __init__(self, message: str, command: str = "") -> None:
+        super().__init__(message)
+        self.command = command
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit code 1, not argparse's 2
-        raise UsageError(message)
+        raise UsageError(message, self.get_default("command_name") or "")
 
 
 @dataclass
@@ -63,10 +68,9 @@ class QueryResult:
     exit_code: int = EXIT_OK
 
 
-def _result(command: str, result: dict, *, text: str, caveats=(), theorem=None,
+def _result(result: dict, *, text: str, caveats=(), theorem=None,
             citations=()) -> QueryResult:
     payload = {
-        "command": command,
         "status": "ok",
         "result": result,
         "caveats": list(caveats),
@@ -76,9 +80,8 @@ def _result(command: str, result: dict, *, text: str, caveats=(), theorem=None,
     return QueryResult(text, payload)
 
 
-def _error_result(command: str, status: str, message: str, code: int) -> QueryResult:
+def _error_result(status: str, message: str, code: int) -> QueryResult:
     payload = {
-        "command": command,
         "status": status,
         "result": None,
         "caveats": [],
@@ -134,14 +137,14 @@ def _cmd_classify(args) -> QueryResult:
         result["modulus"] = bundle.modulus
         text += f"; k_raw={args.k} reduces to k={bundle.k}"
     return _result(
-        "classify", result, text=text,
+        result, text=text,
         theorem="bundle classification over the total space",
     )
 
 
 def _cmd_manifold_equiv(args) -> QueryResult:
-    a = normalize(*args.a)
-    b = normalize(*args.b)
+    a = normalize(*_pair(args.a))
+    b = normalize(*_pair(args.b))
     decision = is_homotopy_equivalent(a, b)
     verdict = "equivalent" if decision.equivalent else "not equivalent"
     theorem = (
@@ -154,7 +157,6 @@ def _cmd_manifold_equiv(args) -> QueryResult:
     elif a.m == b.m and a.m >= 2:
         citations.append("Crowley-Escher (2003)")
     return _result(
-        "manifold equiv",
         {"equivalent": decision.equivalent, "reason": decision.reason,
          "a": {"l": a.l, "m": a.m}, "b": {"l": b.l, "m": b.m}},
         text=f"{a} and {b}: {verdict} ({decision.reason})",
@@ -168,7 +170,6 @@ def _cmd_manifold_homology(args) -> QueryResult:
     groups = homology(spec)
     text = "H_* = (" + ", ".join(g.render() for g in groups) + ")"
     return _result(
-        "manifold homology",
         {"degrees": [g.render() for g in groups], "l": spec.l, "m": spec.m},
         text=f"{spec}: {text}",
         theorem="closed-form cellular homology",
@@ -186,7 +187,6 @@ def _cmd_manifold_suspend(args) -> QueryResult:
         theorem = "p-local suspension splitting"
         citations = [pi6_moore_source()]
     return _result(
-        "manifold suspend",
         {"expression": expr.render(), "tree": expr.to_json()},
         text=f"Susp {spec} = {expr.render()}",
         theorem=theorem,
@@ -204,7 +204,6 @@ def _cmd_gauge_decompose(args) -> QueryResult:
     decomposition = run_query(query)
     loops = "O^1 " * decomposition.loops
     return _result(
-        "gauge decompose",
         {
             "describes": decomposition.describes,
             "expression": decomposition.expr.render(),
@@ -229,7 +228,7 @@ def _cmd_gauge_pi(args) -> QueryResult:
                 )
             group = pi0_unpointed_gauge_m0(g, spec.l)
             return _result(
-                "gauge pi", _group_json(group),
+                _group_json(group),
                 text=f"pi_0(G^k(M({spec.l},0))) = {group.render()}",
                 theorem="component table over a torsion-free base",
             )
@@ -237,7 +236,7 @@ def _cmd_gauge_pi(args) -> QueryResult:
         result = _group_json(value.group)
         result["symbolic"] = list(value.symbolic)
         return _result(
-            "gauge pi", result,
+            result,
             text=f"pi_{args.n}(G*^{args.k}(M({spec.l},0))) = {value}",
             caveats=value.notes,
             theorem="pointed splitting over a torsion-free base",
@@ -256,7 +255,7 @@ def _cmd_gauge_pi(args) -> QueryResult:
             )
         group = pi0_unpointed_gauge_plocal(g, spec.m, args.k, args.p)
         return _result(
-            "gauge pi", _group_json(group),
+            _group_json(group),
             text=f"pi_0(G^0(M({spec.l},{spec.m})) @ ({args.p})) = {group.render()}",
             theorem="p-local component table",
         )
@@ -266,7 +265,7 @@ def _cmd_gauge_pi(args) -> QueryResult:
     )
     value = pi_of_expr(decomposition.expr, args.n)
     return _result(
-        "gauge pi", _group_json(value.group),
+        _group_json(value.group),
         text=f"pi_{args.n}({decomposition.describes} @ ({args.p})) = "
         f"{value.group.render()}",
         caveats=value.notes,
@@ -284,7 +283,7 @@ def _cmd_gauge_equiv_s7(args) -> QueryResult:
         result["expression"] = decision.expr.render()
         result["tree"] = decision.expr.to_json()
     out = _result(
-        "gauge equiv-s7", result,
+        result,
         text=f"G^{args.k}(S^7) vs G^{args.kp}(S^7) for {g} at {locality}: "
         f"{decision.verdict} ({decision.reason})",
         theorem="gcd rule for gauge groups over S^7",
@@ -299,7 +298,6 @@ def _cmd_gauge_equiv_s7(args) -> QueryResult:
 def _cmd_gauge_equiv_su5(args) -> QueryResult:
     decision = su5_gauge_equivalent_m0(args.k, args.kp)
     return _result(
-        "gauge equiv-su5",
         {"verdict": decision.verdict, "reason": decision.reason},
         text=f"SU(5) gauge groups k={args.k}, k'={args.kp}: "
         f"{decision.verdict} ({decision.reason})",
@@ -316,7 +314,6 @@ def _cmd_tables_lookup(args) -> QueryResult:
     if args.moore is not None:
         group = pi6_moore(args.moore)
         return _result(
-            "tables lookup",
             {"key": f"P^4({args.moore})", "degree": 6,
              **_group_json(group), "source": pi6_moore_source()},
             text=f"pi_6(P^4({args.moore})) = {group.render()}",
@@ -335,7 +332,6 @@ def _cmd_tables_lookup(args) -> QueryResult:
         rec = table.lie_record(g, args.i)
         label = f"pi_{args.i}({g})"
     return _result(
-        "tables lookup",
         {"key": rec.key, "degree": rec.degree, **_group_json(rec.group),
          "source": rec.source},
         text=f"{label} = {rec.group.render()}  [{rec.source}]",
@@ -356,7 +352,6 @@ def _cmd_oracle_homology(args) -> QueryResult:
         label = str(spec)
     groups = homology_of(complex_)
     return _result(
-        "oracle homology",
         {
             "source": label,
             "cells": list(complex_.cells),
@@ -375,7 +370,6 @@ def _cmd_selftest(args) -> QueryResult:
     return QueryResult(
         "\n".join(lines),
         {
-            "command": "selftest",
             "status": "ok" if ok else "failed",
             "result": [
                 {
@@ -395,37 +389,41 @@ def _cmd_selftest(args) -> QueryResult:
     )
 
 
+def _leaf(subparsers, name: str, fn, **kwargs) -> _Parser:
+    """A subcommand parser; its payloads name it as its usage line does
+    after the program name, for example "gauge pi"."""
+    p = subparsers.add_parser(name, **kwargs)
+    p.set_defaults(fn=fn, command_name=p.prog.partition(" ")[2])
+    return p
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="bundlegauge", description=__doc__)
     parser.add_argument("--json", action="store_true", help="emit JSON")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    p = sub.add_parser("classify", help="classify principal G-bundles")
+    p = _leaf(sub, "classify", _cmd_classify, help="classify principal G-bundles")
     p.add_argument("--group", required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, default=None, help="also reduce this class")
-    p.set_defaults(fn=_cmd_classify)
 
     manifold = sub.add_parser("manifold", help="total-space questions")
     msub = manifold.add_subparsers(dest="subcommand", parser_class=_Parser)
-    p = msub.add_parser("equiv")
-    p.add_argument("--a", type=_pair, required=True, metavar="L,M")
-    p.add_argument("--b", type=_pair, required=True, metavar="L,M")
-    p.set_defaults(fn=_cmd_manifold_equiv)
-    p = msub.add_parser("homology")
+    p = _leaf(msub, "equiv", _cmd_manifold_equiv)
+    p.add_argument("--a", required=True, metavar="L,M")
+    p.add_argument("--b", required=True, metavar="L,M")
+    p = _leaf(msub, "homology", _cmd_manifold_homology)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(fn=_cmd_manifold_homology)
-    p = msub.add_parser("suspend")
+    p = _leaf(msub, "suspend", _cmd_manifold_suspend)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--p", type=int, default=None)
-    p.set_defaults(fn=_cmd_manifold_suspend)
 
     gauge_cmd = sub.add_parser("gauge", help="gauge group questions")
     gsub = gauge_cmd.add_subparsers(dest="subcommand", parser_class=_Parser)
-    p = gsub.add_parser("decompose")
+    p = _leaf(gsub, "decompose", _cmd_gauge_decompose)
     p.add_argument("--group", required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -433,8 +431,7 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--pointed", action="store_true")
     p.add_argument("--looped", action="store_true")
-    p.set_defaults(fn=_cmd_gauge_decompose)
-    p = gsub.add_parser("pi")
+    p = _leaf(gsub, "pi", _cmd_gauge_pi)
     p.add_argument("--group", required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -443,59 +440,63 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--looped", action="store_true")
     p.add_argument("--unpointed", action="store_true")
-    p.set_defaults(fn=_cmd_gauge_pi)
-    p = gsub.add_parser("equiv-s7")
+    p = _leaf(gsub, "equiv-s7", _cmd_gauge_equiv_s7)
     p.add_argument("--group", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kp", type=int, required=True)
     p.add_argument("--locality", default="integral")
-    p.set_defaults(fn=_cmd_gauge_equiv_s7)
-    p = gsub.add_parser("equiv-su5")
+    p = _leaf(gsub, "equiv-su5", _cmd_gauge_equiv_su5)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kp", type=int, required=True)
-    p.set_defaults(fn=_cmd_gauge_equiv_su5)
 
     tables_cmd = sub.add_parser("tables", help="raw table lookups")
     tsub = tables_cmd.add_subparsers(dest="subcommand", parser_class=_Parser)
-    p = tsub.add_parser("lookup")
+    p = _leaf(tsub, "lookup", _cmd_tables_lookup)
     p.add_argument("--space", default=None, help="sphere key such as S3")
     p.add_argument("--group", default=None, help="Lie group token such as Sp2")
     p.add_argument("--i", type=int, default=None, help="homotopy degree")
     p.add_argument("--moore", type=int, default=None,
                    help="pi_6 of the Moore space P^4(m)")
-    p.set_defaults(fn=_cmd_tables_lookup)
 
     oracle_cmd = sub.add_parser("oracle", help="independent homology oracle")
     osub = oracle_cmd.add_subparsers(dest="subcommand", parser_class=_Parser)
-    p = osub.add_parser("homology")
+    p = _leaf(osub, "homology", _cmd_oracle_homology)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--complex", default=None, help="chain complex text file")
-    p.set_defaults(fn=_cmd_oracle_homology)
 
-    p = sub.add_parser("selftest", help="run the full acceptance grid")
-    p.set_defaults(fn=_cmd_selftest)
+    _leaf(sub, "selftest", _cmd_selftest, help="run the full acceptance grid")
 
     return parser
 
 
 def run(argv: list[str]) -> QueryResult:
-    """Parse and execute; returns the result instead of exiting."""
+    """Parse and execute; returns the result instead of exiting.
+
+    Every payload names the subcommand that was parsed, as its success
+    payload does, or "" when none was.
+    """
     parser = build_parser()
-    command = " ".join(argv[:2]) if argv else ""
+    command = ""
     try:
-        args = parser.parse_args(argv)
-        if not hasattr(args, "fn"):
+        args, extra = parser.parse_known_args(argv)
+        command = getattr(args, "command_name", "")
+        if extra:
+            raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+        if not command:
             raise UsageError("missing subcommand; see --help")
-        return args.fn(args)
+        result = args.fn(args)
     except UsageError as exc:
-        return _error_result(command, "usage-error", str(exc), EXIT_USAGE)
+        command = command or exc.command
+        result = _error_result("usage-error", str(exc), EXIT_USAGE)
     except (ValueError, OSError) as exc:
-        return _error_result(command, "usage-error", str(exc), EXIT_USAGE)
+        result = _error_result("usage-error", str(exc), EXIT_USAGE)
     except OutOfScopeError as exc:
-        return _error_result(command, "out-of-scope", str(exc), EXIT_OUT_OF_SCOPE)
+        result = _error_result("out-of-scope", str(exc), EXIT_OUT_OF_SCOPE)
     except UnknownValueError as exc:
-        return _error_result(command, "unknown", str(exc), EXIT_UNKNOWN)
+        result = _error_result("unknown", str(exc), EXIT_UNKNOWN)
+    result.payload["command"] = command
+    return result
 
 
 def main(argv: list[str] | None = None) -> int:

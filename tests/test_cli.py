@@ -223,3 +223,65 @@ class TestHarness:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+
+# Per subcommand: one answered argv, then refusals raised by argparse
+# (bad or missing arguments), by the command itself, and by the theorems.
+COMMAND_CASES = {
+    "classify": (
+        "classify --group Sp2 --l 3 --m 5",
+        ["classify --group Sp2 --l 3", "classify --group Sp2 --l 3 --m 5 extra",
+         "classify --group Foo --l 0 --m 0", "classify --group G2 --l 0 --m 0"],
+    ),
+    "manifold equiv": (
+        "manifold equiv --a 3,0 --b 15,0",
+        ["manifold equiv --a 3,0", "manifold equiv --a 3 --b 15,0"],
+    ),
+    "manifold homology": (
+        "manifold homology --l 3 --m 6", ["manifold homology --l x --m 6"],
+    ),
+    "manifold suspend": (
+        "manifold suspend --l 0 --m 50 --p 5",
+        ["manifold suspend --l 0", "manifold suspend --l 0 --m 50 --p 3"],
+    ),
+    "gauge decompose": (
+        "gauge decompose --group SU4 --l 12 --m 0 --k 1",
+        ["gauge decompose --group SU4", "gauge decompose --group SU4 --l 0 --m 25"],
+    ),
+    "gauge pi": (
+        "gauge pi --group SU4 --l 0 --m 0",
+        ["gauge pi --group SU4 --l 0 --m 5", "gauge pi --group SU4 --l 0 --m 1",
+         "gauge pi --group SU4 --l 0 --m 0 --n 3"],
+    ),
+    "gauge equiv-s7": (
+        "gauge equiv-s7 --group SU2 --k 1 --kp 2",
+        ["gauge equiv-s7 --group G2 --k 0 --kp 1 --locality p-adic",
+         "gauge equiv-s7 --group G2 --k 0 --kp 1"],
+    ),
+    "gauge equiv-su5": ("gauge equiv-su5 --k 1 --kp 121", ["gauge equiv-su5 --k 1"]),
+    "tables lookup": (
+        "tables lookup --space S3 --i 6",
+        ["tables lookup --space S3", "tables lookup --space S3 --i 25"],
+    ),
+    "oracle homology": ("oracle homology --l 3 --m 6", ["oracle homology --l 3"]),
+    "selftest": ("selftest", ["selftest --quick"]),
+}
+
+
+class TestCommandField:
+    @pytest.mark.parametrize("name", sorted(COMMAND_CASES))
+    def test_errors_name_the_command_as_answers_do(self, name):
+        answered, refusals = COMMAND_CASES[name]
+        result = run(["--json", *answered.split()])
+        assert result.exit_code == EXIT_OK
+        assert result.payload["command"] == name
+        for argv in refusals:
+            result = run(["--json", *argv.split()])
+            assert result.exit_code != EXIT_OK, argv
+            assert result.payload["command"] == name, argv
+
+    @pytest.mark.parametrize("argv", ["", "manifold", "gauge frobnicate", "frobnicate"])
+    def test_no_parsed_subcommand_names_none(self, argv):
+        result = run(["--json", *argv.split()])
+        assert result.exit_code == EXIT_USAGE
+        assert result.payload["command"] == ""
