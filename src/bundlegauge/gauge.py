@@ -103,21 +103,6 @@ _CAVEAT_GAUGE_S4 = (
 _OPAQUE_KINDS = ("gauge-s4", "x-fiber")
 
 
-def _caveat_map_star(t: int, g: LieGroupId) -> str:
-    return (
-        f"Map*(Y_{t}, {g}) has no known closed form for twist {t} != 0 "
-        "and is kept symbolic"
-    )
-
-
-def _caveat_x_fiber(g: LieGroupId, m: int, k: int, p: int, r: int) -> str:
-    return (
-        f"X_{k} is known only as the total space of a fibration "
-        f"O^4_0[{g}]{{{m}}} -> X_{k} -> O^1[{g}]; it splits when "
-        f"{p}^{r} divides k, which fails here"
-    )
-
-
 @dataclass(frozen=True)
 class DecompositionResult:
     """A canonical decomposition plus its bookkeeping.
@@ -149,21 +134,28 @@ def _check_prime_ge5(p: int) -> int:
     return p
 
 
+def _map_star(g: LieGroupId, t: int) -> tuple[tuple[SpaceExpr, ...], tuple[str, ...]]:
+    """The factors of Map_*(Y_t, G) and their caveats: O^3[G] x O^7[G]
+    for t = 0, the symbolic atom otherwise."""
+    if t == 0:
+        return (loop(3, lie(g)), loop(7, lie(g))), ()
+    caveat = (
+        f"Map*(Y_{t}, {g}) has no known closed form for twist {t} != 0 "
+        "and is kept symbolic"
+    )
+    return (map_star_y(t, g),), (caveat,)
+
+
 def decompose_unpointed_m0(
     g: LieGroupId, l: int, k: int, table: PiTable | None = None
 ) -> DecompositionResult:
     """G^k(M(l,0)) = G^k(S^4) x Map_*(Y_t, G), expanded when t = 0."""
     table = table or default_table()
     require_pi6_zero(g, table)
-    t = twist_class(l)
-    caveats = [_CAVEAT_GAUGE_S4]
-    if t == 0:
-        expr = product(gauge_s4(g, k), loop(3, lie(g)), loop(7, lie(g)))
-    else:
-        expr = product(gauge_s4(g, k), map_star_y(t, g))
-        caveats.append(_caveat_map_star(t, g))
+    factors, caveats = _map_star(g, twist_class(l))
     return DecompositionResult(
-        expr, tuple(caveats), TAG_UNPOINTED_M0, f"G^{k}(M({l},0))"
+        product(gauge_s4(g, k), *factors), (_CAVEAT_GAUGE_S4, *caveats),
+        TAG_UNPOINTED_M0, f"G^{k}(M({l},0))",
     )
 
 
@@ -173,15 +165,10 @@ def decompose_pointed_m0(
     """G*^k(M(l,0)) = O^4[G] x Map_*(Y_t, G); the answer is k-independent."""
     table = table or default_table()
     require_pi6_zero(g, table)
-    t = twist_class(l)
-    caveats: list[str] = []
-    if t == 0:
-        expr = product(loop(4, lie(g)), loop(3, lie(g)), loop(7, lie(g)))
-    else:
-        expr = product(loop(4, lie(g)), map_star_y(t, g))
-        caveats.append(_caveat_map_star(t, g))
+    factors, caveats = _map_star(g, twist_class(l))
     return DecompositionResult(
-        expr, tuple(caveats), TAG_POINTED_M0, f"G*^{k}(M({l},0))"
+        product(loop(4, lie(g)), *factors), caveats, TAG_POINTED_M0,
+        f"G*^{k}(M({l},0))",
     )
 
 
@@ -254,7 +241,11 @@ def decompose_plocal(
         expr = localized(
             p, product(loop(8, lie(g), component0=True), x_fiber(g, m, k))
         )
-        caveats = (_caveat_x_fiber(g, m, k, p, r),)
+        caveats = (
+            f"X_{k} is known only as the total space of a fibration "
+            f"O^4_0[{g}]{{{m}}} -> X_{k} -> O^1[{g}]; it splits when "
+            f"{p}^{r} divides k, which fails here",
+        )
     return DecompositionResult(
         expr, caveats, TAG_PLOCAL_LOOPED, f"O^1 G^{k}(M({l},{m}))", loops=1
     )
@@ -404,13 +395,8 @@ def pi_of_expr(expr: SpaceExpr, n: int, table: PiTable | None = None) -> PiValue
                 )
             return PiValue(cg.group, notes=notes, sources=cg.sources)
         case "map-star-y" if expr.args[0] == 0:
-            g = expr.args[1]
-            return _merge(
-                [
-                    pi_of_expr(loop(3, lie(g)), n, table),
-                    pi_of_expr(loop(7, lie(g)), n, table),
-                ]
-            )
+            factors, _ = _map_star(expr.args[1], 0)
+            return _merge([pi_of_expr(f, n, table) for f in factors])
         case "moore" if expr.args[0] == 4 and n == 6:
             return PiValue(pi6_moore(expr.args[1]), sources=(pi6_moore_source(),))
     return PiValue(TRIVIAL, (f"pi_{n}({expr.render()})",))
