@@ -68,28 +68,22 @@ class QueryResult:
     exit_code: int = EXIT_OK
 
 
-def _result(result: dict, *, text: str, caveats=(), theorem=None,
-            citations=()) -> QueryResult:
+def _result(result, *, text: str, caveats=(), theorem=None, citations=(),
+            status: str = "ok", code: int = EXIT_OK) -> QueryResult:
     payload = {
-        "status": "ok",
+        "status": status,
         "result": result,
         "caveats": list(caveats),
         "theorem": theorem,
         "citations": list(citations),
     }
-    return QueryResult(text, payload)
+    return QueryResult(text, payload, code)
 
 
 def _error_result(status: str, message: str, code: int) -> QueryResult:
-    payload = {
-        "status": status,
-        "result": None,
-        "caveats": [],
-        "theorem": None,
-        "citations": [],
-        "error": message,
-    }
-    return QueryResult(f"error: {message}", payload, code)
+    out = _result(None, text=f"error: {message}", status=status, code=code)
+    out.payload["error"] = message
+    return out
 
 
 def _group_json(g: AbGroup) -> dict:
@@ -367,25 +361,20 @@ def _cmd_selftest(args) -> QueryResult:
     lines = [r.line() for r in results]
     ok = all(r.passed for r in results)
     lines.append("all criteria passed" if ok else "FAILURES present")
-    return QueryResult(
-        "\n".join(lines),
-        {
-            "status": "ok" if ok else "failed",
-            "result": [
-                {
-                    "criterion": r.number,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                    "seconds": round(r.seconds, 3),
-                }
-                for r in results
-            ],
-            "caveats": [],
-            "theorem": None,
-            "citations": [],
-        },
-        EXIT_OK if ok else 1,
+    return _result(
+        [
+            {
+                "criterion": r.number,
+                "name": r.name,
+                "passed": r.passed,
+                "detail": r.detail,
+                "seconds": round(r.seconds, 3),
+            }
+            for r in results
+        ],
+        text="\n".join(lines),
+        status="ok" if ok else "failed",
+        code=EXIT_OK if ok else 1,
     )
 
 
