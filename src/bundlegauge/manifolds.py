@@ -14,7 +14,7 @@ Homotopy classification:
 * m >= 2: equivalence holds exactly when l' = a*l (mod gcd(m, 12)) for
   some a with a^2 = 1 (mod gcd(m, 12))  (Crowley-Escher criterion).
 
-Closed-form homology lives here; the homology_oracle module recomputes
+Closed-form homology lives here; the oracle module recomputes
 it independently from the cell structure by Smith normal form.
 """
 

@@ -4,17 +4,20 @@ the public constructors.
 Products and wedges must not depend on how their operands were listed
 or grouped, operands must render in the rank order that
 docs/expression-grammar.md documents, and two canonical trees must be
-equal exactly when their text and JSON forms are.
+equal exactly when their text and JSON forms are.  The kinds table of
+that document must match the ranks, fields and trees of the code.
 """
 
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 from hypothesis import given, strategies as st
 
 from bundlegauge.spaces import (
     POINT,
+    SpaceExpr,
     gauge_s4,
     lie,
     localized,
@@ -97,25 +100,67 @@ class TestConnectivesAreCanonical:
         assert wedge(*shuffled[:cut], wedge(*shuffled[cut:])) == expected
 
 
-# The atom ranks of docs/expression-grammar.md ("Atom sort order"), in
-# ascending order, each recognised by its rendered text.
-ATOM_RANKS = (
-    re.compile(r"G\^-?\d+\(S\^4\)"),
-    re.compile(r"(SU|Sp|Spin)\(\d+\)|G2|F4|E6|E7|E8"),
-    re.compile(r"O\^(\d+)(_0)?\[[^\]]*\]"),
-    re.compile(r"O\^\d+(_0)?\[[^\]]*\]\{\d+\}"),
-    re.compile(r"Map\*\(Y_\d, [^)]*\)\)?"),
-    re.compile(r"X_-?\d+"),
-    re.compile(r"P\^\d+\(\d+\)"),
-    re.compile(r"S\^\d+"),
-    re.compile(r"S?Y_\d"),
-)
+GRAMMAR = Path(__file__).resolve().parents[1] / "docs" / "expression-grammar.md"
+
+
+def _documented_kinds() -> dict[str, list[str]]:
+    """The kinds table of the grammar: type -> fields, in rank order."""
+    rows = re.findall(r"^\| (\d+) \| `([a-z0-9-]+)` \|([^|]*)\|", GRAMMAR.read_text(), re.M)
+    assert [int(rank) for rank, _, _ in rows] == list(range(len(rows)))
+    return {kind: re.findall(r"`(\w+)`", fields) for _, kind, fields in rows}
+
+
+DOCUMENTED = _documented_kinds()
+
+# Each atom kind recognised by its rendered text.
+ATOM_TEXT = {
+    "gauge-s4": re.compile(r"G\^-?\d+\(S\^4\)"),
+    "lie-group": re.compile(r"(SU|Sp|Spin)\(\d+\)|G2|F4|E6|E7|E8"),
+    "loop": re.compile(r"O\^(\d+)(_0)?\[[^\]]*\]"),
+    "mod-loop": re.compile(r"O\^\d+(_0)?\[[^\]]*\]\{\d+\}"),
+    "map-star-y": re.compile(r"Map\*\(Y_\d, [^)]*\)\)?"),
+    "x-fiber": re.compile(r"X_-?\d+"),
+    "moore": re.compile(r"P\^\d+\(\d+\)"),
+    "sphere": re.compile(r"S\^\d+"),
+    "y-cofiber": re.compile(r"S?Y_\d"),
+}
 
 
 def _rank(operand: str) -> int:
-    ranks = [i for i, pattern in enumerate(ATOM_RANKS) if pattern.fullmatch(operand)]
-    assert len(ranks) == 1, operand
-    return ranks[0]
+    kinds = [kind for kind, pattern in ATOM_TEXT.items() if pattern.fullmatch(operand)]
+    assert len(kinds) == 1, operand
+    return list(DOCUMENTED).index(kinds[0])
+
+
+SU4 = LieGroupId("SU", 4)
+ONE_OF_EACH = [
+    gauge_s4(SU4, 1), lie(SU4), loop(3, lie(SU4)), mod_loop(4, SU4, 25),
+    map_star_y(5, SU4), x_fiber(SU4, 25, 5), moore(5, 25), sphere(4), y_cofiber(5),
+    POINT, product(sphere(3), sphere(4)), wedge(sphere(3), sphere(4)),
+    localized(5, sphere(8)),
+]
+
+
+def _json_value(arg):
+    if isinstance(arg, LieGroupId):
+        return arg.token()
+    if isinstance(arg, SpaceExpr):
+        return arg.to_json()
+    if isinstance(arg, tuple):
+        return [part.to_json() for part in arg]
+    return arg
+
+
+def test_documented_kinds_match_the_code():
+    assert sorted(reversed(ONE_OF_EACH)) == ONE_OF_EACH
+    for rank, (expr, kind) in enumerate(zip(ONE_OF_EACH, DOCUMENTED, strict=True)):
+        tree = expr.to_json()
+        fields = DOCUMENTED[kind]
+        assert tree["type"] == kind
+        assert sorted(tree) == sorted(["type", *fields])
+        # The sort key is the rank, then the fields in the documented order.
+        assert expr.sort_key()[0] == rank
+        assert [_json_value(a) for a in expr.sort_key()[1:]] == [tree[f] for f in fields]
 
 
 class TestRenderedOrder:
@@ -128,7 +173,7 @@ class TestRenderedOrder:
             # Loop spaces by degree, the full space before its _0 component.
             loops = [
                 (int(m.group(1)), m.group(2) is not None)
-                for m in map(ATOM_RANKS[2].fullmatch, operands)
+                for m in map(ATOM_TEXT["loop"].fullmatch, operands)
                 if m
             ]
             assert loops == sorted(loops), operands
