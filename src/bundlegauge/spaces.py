@@ -101,9 +101,8 @@ class SpaceExpr(NamedTuple):
 
 
 def _operand(expr: SpaceExpr) -> str:
-    if expr.kind in ("product", "wedge", "localized"):
-        return f"({expr.render()})"
-    return expr.render()
+    text = KINDS[expr.kind].render(*expr.args)
+    return f"({text})" if expr.kind in ("product", "wedge", "localized") else text
 
 
 class Kind(NamedTuple):
@@ -113,8 +112,9 @@ class Kind(NamedTuple):
 
 
 # Each kind's rank in the canonical order, then its text and its JSON
-# tree as functions of the node's arguments (a node formats as its
-# text).  A loop space or a mod-m loop space marks its basepoint
+# tree as functions of the node's arguments.  The functions reach a
+# child node's row directly, not through its methods, which keeps one
+# call per node.  A loop space or a mod-m loop space marks its basepoint
 # component with the subscript _0.
 KINDS: dict[str, Kind] = {
     "gauge-s4": Kind(
@@ -125,9 +125,10 @@ KINDS: dict[str, Kind] = {
     "lie-group": Kind(1, str, lambda g: {"type": "lie-group", "group": g.token()}),
     "loop": Kind(
         2,
-        lambda n, c0, x: f"O^{n}{'_0' if c0 else ''}[{x.render()}]",
+        lambda n, c0, x: f"O^{n}{'_0' if c0 else ''}[{KINDS[x.kind].render(*x.args)}]",
         lambda n, c0, x: {
-            "type": "loop", "n": n, "component0": c0, "inner": x.to_json()
+            "type": "loop", "n": n, "component0": c0,
+            "inner": KINDS[x.kind].json(*x.args),
         },
     ),
     "mod-loop": Kind(
@@ -161,17 +162,23 @@ KINDS: dict[str, Kind] = {
     "product": Kind(
         10,
         lambda fs: " x ".join(map(_operand, fs)),
-        lambda fs: {"type": "product", "factors": [f.to_json() for f in fs]},
+        lambda fs: {
+            "type": "product", "factors": [KINDS[f.kind].json(*f.args) for f in fs]
+        },
     ),
     "wedge": Kind(
         11,
         lambda ss: " v ".join(map(_operand, ss)),
-        lambda ss: {"type": "wedge", "summands": [s.to_json() for s in ss]},
+        lambda ss: {
+            "type": "wedge", "summands": [KINDS[s.kind].json(*s.args) for s in ss]
+        },
     ),
     "localized": Kind(
         12,
-        "{1} @ ({0})".format,
-        lambda p, x: {"type": "localized", "p": p, "inner": x.to_json()},
+        lambda p, x: f"{KINDS[x.kind].render(*x.args)} @ ({p})",
+        lambda p, x: {
+            "type": "localized", "p": p, "inner": KINDS[x.kind].json(*x.args)
+        },
     ),
 }
 
