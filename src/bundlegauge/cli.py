@@ -276,17 +276,16 @@ def _cmd_gauge_equiv_s7(args) -> QueryResult:
     if decision.expr is not None:
         result["expression"] = decision.expr.render()
         result["tree"] = decision.expr.to_json()
-    out = _result(
+    out_of_scope = decision.verdict == "out-of-scope"
+    return _result(
         result,
         text=f"G^{args.k}(S^7) vs G^{args.kp}(S^7) for {g} at {locality}: "
         f"{decision.verdict} ({decision.reason})",
         theorem="gcd rule for gauge groups over S^7",
         citations=["Lang (1973)", "Theriault (2010)"],
+        status="out-of-scope" if out_of_scope else "ok",
+        code=EXIT_OUT_OF_SCOPE if out_of_scope else EXIT_OK,
     )
-    if decision.verdict == "out-of-scope":
-        out.payload["status"] = "out-of-scope"
-        out.exit_code = EXIT_OUT_OF_SCOPE
-    return out
 
 
 def _cmd_gauge_equiv_su5(args) -> QueryResult:

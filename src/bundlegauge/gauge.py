@@ -93,15 +93,11 @@ TAG_PLOCAL_LOOPED = "p-local splitting of the looped gauge group"
 TAG_PLOCAL_POINTED = "p-local pointed splitting, trivial class"
 TAG_PLOCAL_POINTED_LOOPED = "p-local splitting of the looped pointed gauge group"
 TAG_S7_TRIVIAL = "gauge group of the unique bundle over S^7"
-TAG_S7_GCD = "gcd rule for gauge groups over S^7"
 
 _CAVEAT_GAUGE_S4 = (
     "G^k(S^4) is an opaque factor: the splitting reduces the problem to "
     "gauge groups over S^4, it does not resolve them"
 )
-
-_OPAQUE_KINDS = ("gauge-s4", "x-fiber")
-
 
 @dataclass(frozen=True)
 class DecompositionResult:
@@ -119,7 +115,8 @@ class DecompositionResult:
 
     def __post_init__(self) -> None:
         has_opaque = any(
-            a.kind in _OPAQUE_KINDS or (a.kind == "map-star-y" and a.args[0] != 0)
+            a.kind in ("gauge-s4", "x-fiber")
+            or (a.kind == "map-star-y" and a.args[0] != 0)
             for a in self.expr.atoms()
         )
         if has_opaque and not self.caveats:

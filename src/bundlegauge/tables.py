@@ -41,14 +41,12 @@ _FAMILIES = ("SU", "Sp", "Spin", "G2", "F4", "E6", "E7", "E8")
 _MIN_RANK = {"SU": 2, "Sp": 1, "Spin": 5}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True)  # expressions sort groups by (family, n)
 class LieGroupId:
     """A simply connected simple compact Lie group: family plus rank.
 
     The exceptional families carry no rank parameter.  SU(2) and Sp(1)
-    are distinct identifiers that report as isomorphic.  Identifiers
-    order by family, then rank, which is how canonical expressions sort
-    their Lie-group arguments.
+    are distinct identifiers that report as isomorphic.
     """
 
     family: str
