@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from . import selftest
@@ -458,13 +459,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _shared_parser() -> _Parser:
+    """The parser every run uses, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> QueryResult:
     """Parse and execute; returns the result instead of exiting.
 
     Every payload names the subcommand that was parsed, as its success
     payload does, or "" when none was.
     """
-    parser = build_parser()
+    parser = _shared_parser()
     command = ""
     try:
         args, extra = parser.parse_known_args(argv)

@@ -214,21 +214,19 @@ class PiTable:
         return self.lie(g, 6)
 
 
-def _data_path() -> Path:
-    override = os.environ.get(ENV_TABLE_PATH)
-    if override:
-        return Path(override)
-    return Path(str(resources.files(__package__) / "data" / "homotopy_groups.txt"))
-
-
 @lru_cache(maxsize=None)
-def _cached_table(path: str) -> PiTable:
-    return PiTable.load(path)
+def _cached_table(override: str | None) -> PiTable:
+    if override:
+        return PiTable.load(override)
+    data = resources.files(__package__) / "data" / "homotopy_groups.txt"
+    return PiTable.from_text(data.read_text(encoding="utf-8"))
 
 
 def default_table() -> PiTable:
-    """The table shipped with the package, or the env-var override."""
-    return _cached_table(str(_data_path()))
+    """The packaged table (zip imports too), or the file that a nonempty
+    ``BUNDLEGAUGE_TABLES`` names.  The variable is read on every call;
+    each distinct value's file is parsed once per process."""
+    return _cached_table(os.environ.get(ENV_TABLE_PATH) or None)
 
 
 def pi_sphere(n: int, i: int, table: PiTable | None = None) -> AbGroup:

@@ -6,6 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from bundlegauge import cli
 from bundlegauge.cli import (
     EXIT_OK,
     EXIT_OUT_OF_SCOPE,
@@ -285,3 +286,35 @@ class TestCommandField:
         result = run(["--json", *argv.split()])
         assert result.exit_code == EXIT_USAGE
         assert result.payload["command"] == ""
+
+
+# Answers alternating with refusals of every exit code: argparse errors,
+# refusals raised inside a command, out of scope and table gaps.
+SHARED_PARSER_SEQUENCE = [
+    "classify --group Sp2 --l 3 --m 5", "classify --group Sp2 --l 3",
+    "gauge pi --group SU4 --l 0 --m 0", "classify --group SU2 --l 0 --m 0",
+    "tables lookup --space S3 --i 6", "tables lookup --space S3 --i 25",
+    "gauge decompose --group SU4 --l 12 --m 0 --k 1", "frobnicate",
+    "manifold equiv --a 3,0 --b 15,0", "gauge pi --group SU4 --l 0 --m 0 --n 3",
+    "manifold suspend --l 0 --m 50 --p 5", "gauge equiv-s7 --group G2 --k 0 --kp 1",
+    "classify --group Sp2 --l 3 --m 5", "classify --group Sp2 --l 3 --m 5 extra",
+    "gauge decompose --group SU4 --l 12 --m 0 --k 1", "manifold",
+    "tables lookup --space S3 --i 6", "gauge equiv-s7 --group G2 --k 0 --kp 1 --locality p-adic",
+]
+
+
+class TestSharedParser:
+    def test_one_parser_answers_as_a_fresh_one(self, monkeypatch):
+        builds = []
+        fresh_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or fresh_parser())
+        cli._shared_parser.cache_clear()
+        shared = [run(["--json", *argv.split()]) for argv in SHARED_PARSER_SEQUENCE]
+        assert len(builds) == 1
+        assert {r.exit_code for r in shared} == {
+            EXIT_OK, EXIT_USAGE, EXIT_OUT_OF_SCOPE, EXIT_UNKNOWN}
+        for argv, result in zip(SHARED_PARSER_SEQUENCE, shared):
+            cli._shared_parser.cache_clear()
+            fresh = run(["--json", *argv.split()])
+            assert (result.exit_code, result.payload) == (fresh.exit_code, fresh.payload), argv
+        assert len(builds) == 1 + len(SHARED_PARSER_SEQUENCE)

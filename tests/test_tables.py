@@ -1,5 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
+
 import pytest
 
+import bundlegauge
+from bundlegauge import tables as tables_module
 from bundlegauge.abelian import localize, make_group, vp
 from bundlegauge.errors import UnknownValueError
 from bundlegauge.tables import (
@@ -186,3 +195,67 @@ class TestDataFile:
         finally:
             monkeypatch.delenv("BUNDLEGAUGE_TABLES")
             tables_module._cached_table.cache_clear()
+
+    def test_override_change_takes_effect_on_next_call(self, tmp_path, monkeypatch):
+        one = tmp_path / "one.txt"
+        one.write_text("S3 | 6 | Z_12 | one\n", encoding="utf-8")
+        two = tmp_path / "two.txt"
+        two.write_text("S3 | 6 | Z_12 | two\nS3 | 7 | Z_2 | two\n", encoding="utf-8")
+        monkeypatch.delenv("BUNDLEGAUGE_TABLES", raising=False)
+        packaged = default_table()
+        monkeypatch.setenv("BUNDLEGAUGE_TABLES", str(one))
+        assert [r.source for r in default_table().records] == ["one"]
+        monkeypatch.setenv("BUNDLEGAUGE_TABLES", str(two))
+        assert [r.source for r in default_table().records] == ["two", "two"]
+        monkeypatch.setenv("BUNDLEGAUGE_TABLES", str(one))
+        assert [r.source for r in default_table().records] == ["one"]
+        monkeypatch.delenv("BUNDLEGAUGE_TABLES")
+        assert default_table() is packaged
+        monkeypatch.setenv("BUNDLEGAUGE_TABLES", "")
+        assert default_table() is packaged
+        assert len(packaged.records) > 100
+
+    def test_default_table_is_one_object(self):
+        assert default_table() is default_table()
+
+    def test_warm_call_reads_no_file(self, monkeypatch):
+        monkeypatch.delenv("BUNDLEGAUGE_TABLES", raising=False)
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(tables_module.resources, "files",
+                            counting("files", tables_module.resources.files))
+        for name in ("load", "from_text"):
+            monkeypatch.setattr(PiTable, name, staticmethod(counting(name, getattr(PiTable, name))))
+        tables_module._cached_table.cache_clear()
+        try:
+            default_table()
+            assert "from_text" in calls  # the counters see a cold call
+            calls.clear()
+            for _ in range(3):
+                default_table()
+            assert calls == []
+        finally:
+            tables_module._cached_table.cache_clear()
+
+    def test_packaged_table_loads_from_a_zip_import(self, tmp_path):
+        package = Path(bundlegauge.__file__).parent
+        archive = tmp_path / "bg.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for path in sorted(package.rglob("*")):
+                if path.is_file() and "__pycache__" not in path.parts:
+                    zf.write(path, Path("bundlegauge") / path.relative_to(package))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bundlegauge", "--json", "classify",
+             "--group", "SU4", "--l", "0", "--m", "5"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={k: v for k, v in os.environ.items() if k != "BUNDLEGAUGE_TABLES"}
+            | {"PYTHONPATH": str(archive)},
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert json.loads(proc.stdout)["result"]["set"] == "Z_5"
