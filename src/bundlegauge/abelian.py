@@ -24,7 +24,7 @@ Z_(2) + Z_8
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .errors import LocalityError
@@ -89,15 +89,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Prime:
+class Prime(namedtuple("Prime", "value")):
     """A primality-checked prime number."""
 
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.value):
-            raise ValueError(f"{self.value} is not prime")
+    def __new__(cls, value: int) -> Prime:
+        if not is_prime(value):
+            raise ValueError(f"{value} is not prime")
+        return super().__new__(cls, value)
 
     def __int__(self) -> int:
         return self.value
@@ -131,8 +131,7 @@ def _invariant_factors(torsion: list[int]) -> tuple[int, ...]:
     return tuple(f[f.count(1) :])  # in a divisibility chain the 1s lead
 
 
-@dataclass(frozen=True)
-class AbGroup:
+class AbGroup(namedtuple("AbGroup", "free_rank invariant_factors local_prime")):
     """A finitely generated abelian group in canonical form.
 
     Instances are immutable and safe to share between threads.  Use
@@ -140,35 +139,37 @@ class AbGroup:
     than the raw constructor; the constructor only validates.
     """
 
-    free_rank: int
-    invariant_factors: tuple[int, ...]
-    local_prime: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
+    def __new__(
+        cls,
+        free_rank: int,
+        invariant_factors: tuple[int, ...],
+        local_prime: int | None = None,
+    ) -> AbGroup:
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         prev = 1
-        for d in self.invariant_factors:
+        for d in invariant_factors:
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")
             if d % prev != 0:
-                raise ValueError(
-                    f"{self.invariant_factors} is not a divisibility chain"
-                )
+                raise ValueError(f"{invariant_factors} is not a divisibility chain")
             prev = d
-        if self.local_prime is not None:
-            p = self.local_prime
+        if local_prime is not None:
+            p = local_prime
             if not is_prime(p):
                 raise ValueError(f"locality prime {p} is not prime")
-            if self.is_trivial:
+            if free_rank == 0 and not invariant_factors:
                 raise ValueError("the trivial group is stored integral")
-            for d in self.invariant_factors:
+            for d in invariant_factors:
                 while d % p == 0:
                     d //= p
                 if d != 1:
                     raise ValueError(
                         f"factor in a {p}-local group is not a power of {p}"
                     )
+        return super().__new__(cls, free_rank, invariant_factors, local_prime)
 
     @property
     def is_trivial(self) -> bool:

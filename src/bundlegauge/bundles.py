@@ -13,7 +13,7 @@ than extrapolate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .abelian import AbGroup, Z, make_group
 from .errors import OutOfScopeError
@@ -29,19 +29,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BundleClass:
-    """A reduced classifying parameter for a principal G-bundle.
+class BundleClass(namedtuple("BundleClass", "base group k modulus")):
+    """A reduced classifying parameter for a principal G-bundle over the
+    ManifoldSpec base, for the LieGroupId group.
 
     modulus 0 means the class lives in Z (m = 0); otherwise k is the
     canonical residue mod the modulus (m for m >= 2, the order of
     pi_6(G) for m = 1).
     """
 
-    base: ManifoldSpec
-    group: LieGroupId
-    k: int
-    modulus: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.modulus == 0:

@@ -13,11 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from pathlib import Path
 
-from . import selftest
 from .abelian import AbGroup
 from .bundles import classify_bundles, projection_induced_map_kind, reduce_class
 from .errors import OutOfScopeError, UnknownValueError
@@ -62,11 +60,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message, self.get_default("command_name") or "")
 
 
-@dataclass
-class QueryResult:
-    text: str
-    payload: dict
-    exit_code: int = EXIT_OK
+class QueryResult(
+    namedtuple("QueryResult", "text payload exit_code", defaults=(EXIT_OK,))
+):
+    __slots__ = ()
 
 
 def _result(result, *, text: str, caveats=(), theorem=None, citations=(),
@@ -335,8 +332,8 @@ def _cmd_tables_lookup(args) -> QueryResult:
 
 def _cmd_oracle_homology(args) -> QueryResult:
     if args.complex is not None:
-        text = Path(args.complex).read_text(encoding="utf-8")
-        complex_ = parse_complex(text)
+        with open(args.complex, encoding="utf-8") as f:
+            complex_ = parse_complex(f.read())
         label = args.complex
     else:
         if args.l is None or args.m is None:
@@ -357,6 +354,8 @@ def _cmd_oracle_homology(args) -> QueryResult:
 
 
 def _cmd_selftest(args) -> QueryResult:
+    from . import selftest  # loaded only for this subcommand
+
     results = selftest.run_all()
     lines = [r.line() for r in results]
     ok = all(r.passed for r in results)

@@ -35,7 +35,7 @@ the decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .abelian import (
@@ -48,7 +48,7 @@ from .abelian import (
     tor_with_cyclic,
     vp,
 )
-from .bundles import BundleClass, require_pi6_zero
+from .bundles import require_pi6_zero
 from .errors import OutOfScopeError, UnknownValueError
 from .manifolds import twist_class
 from .spaces import (
@@ -99,28 +99,34 @@ _CAVEAT_GAUGE_S4 = (
     "gauge groups over S^4, it does not resolve them"
 )
 
-@dataclass(frozen=True)
-class DecompositionResult:
+
+class DecompositionResult(
+    namedtuple("DecompositionResult", "expr caveats theorem describes loops")
+):
     """A canonical decomposition plus its bookkeeping.
 
     loops says how many times the described gauge group has been looped
     (0 or 1); describes is a short display name of the object.
     """
 
-    expr: SpaceExpr
-    caveats: tuple[str, ...]
-    theorem: str
-    describes: str
-    loops: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls,
+        expr: SpaceExpr,
+        caveats: tuple[str, ...],
+        theorem: str,
+        describes: str,
+        loops: int = 0,
+    ) -> DecompositionResult:
         has_opaque = any(
             a.kind in ("gauge-s4", "x-fiber")
             or (a.kind == "map-star-y" and a.args[0] != 0)
-            for a in self.expr.atoms()
+            for a in expr.atoms()
         )
-        if has_opaque and not self.caveats:
+        if has_opaque and not caveats:
             raise ValueError("opaque atoms require an explanatory caveat")
+        return super().__new__(cls, expr, caveats, theorem, describes, loops)
 
 
 def _check_prime_ge5(p: int) -> int:
@@ -262,14 +268,12 @@ def s7_decompose_trivial(g: LieGroupId, table: PiTable | None = None) -> SpaceEx
 # Homotopy groups of decomposition expressions.
 
 
-@dataclass(frozen=True)
-class PiValue:
+class PiValue(
+    namedtuple("PiValue", "group symbolic notes sources", defaults=((), (), ()))
+):
     """A homotopy group split into a computed part and symbolic leftovers."""
 
-    group: AbGroup
-    symbolic: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
-    sources: tuple[str, ...] = ()
+    __slots__ = ()
 
     @property
     def complete(self) -> bool:
@@ -296,8 +300,11 @@ def _merge(values: list[PiValue]) -> PiValue:
     return PiValue(group, tuple(symbolic), tuple(notes), tuple(sources))
 
 
-@dataclass(frozen=True)
-class CoefficientGroup:
+class CoefficientGroup(
+    namedtuple(
+        "CoefficientGroup", "group extension_split_assumed sources", defaults=((),)
+    )
+):
     """pi_i(G; Z_q) computed from the universal-coefficient sequence.
 
     The middle term is reported as the direct sum of the two ends;
@@ -305,9 +312,7 @@ class CoefficientGroup:
     and the sum is therefore an assumption, not a theorem.
     """
 
-    group: AbGroup
-    extension_split_assumed: bool
-    sources: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 def _coefficient_group(
@@ -474,11 +479,10 @@ def pi_pointed_gauge_plocal(
 # Homotopy equivalence decisions for gauge groups over S^7.
 
 
-@dataclass(frozen=True)
-class S7Decision:
-    verdict: str  # "equivalent" | "not-equivalent" | "out-of-scope"
-    reason: str
-    expr: SpaceExpr | None = None
+class S7Decision(namedtuple("S7Decision", "verdict reason expr", defaults=(None,))):
+    """verdict is "equivalent", "not-equivalent" or "out-of-scope"."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.verdict == "equivalent"
@@ -565,10 +569,10 @@ def s7_gauge_equivalent(
     )
 
 
-@dataclass(frozen=True)
-class Su5Decision:
-    verdict: str  # "equivalent-locally" | "undecided"
-    reason: str
+class Su5Decision(namedtuple("Su5Decision", "verdict reason")):
+    """verdict is "equivalent-locally" or "undecided"."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.verdict == "equivalent-locally"
@@ -594,14 +598,16 @@ def su5_gauge_equivalent_m0(k: int, k_prime: int) -> Su5Decision:
     )
 
 
-@dataclass(frozen=True)
-class GaugeQuery:
-    """A bundled decomposition request, used by the CLI front end."""
+class GaugeQuery(
+    namedtuple(
+        "GaugeQuery", "bundle pointed looped locality",
+        defaults=(False, 0, "integral"),
+    )
+):
+    """A bundled decomposition request for a BundleClass, used by the
+    CLI front end."""
 
-    bundle: BundleClass
-    pointed: bool = False
-    looped: int = 0
-    locality: str | int = "integral"
+    __slots__ = ()
 
 
 def run_query(query: GaugeQuery, table: PiTable | None = None) -> DecompositionResult:

@@ -20,7 +20,7 @@ it independently from the cell structure by Smith normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .abelian import AbGroup, Prime, TRIVIAL, Z, make_group, vp
@@ -41,13 +41,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ManifoldSpec:
-    """Canonical (l, m) with m >= 0 and l the preferred representative."""
+class ManifoldSpec(namedtuple("ManifoldSpec", "l m original")):
+    """Canonical (l, m) with m >= 0 and l the preferred representative;
+    original is the input pair."""
 
-    l: int
-    m: int
-    original: tuple[int, int]
+    __slots__ = ()
 
     def partners(self) -> tuple[int, int]:
         """The homeomorphism class {l, -l-m} at fixed m >= 0."""
@@ -88,10 +86,8 @@ def homology(spec: ManifoldSpec) -> tuple[AbGroup, ...]:
     return tuple(h)
 
 
-@dataclass(frozen=True)
-class EquivalenceDecision:
-    equivalent: bool
-    reason: str
+class EquivalenceDecision(namedtuple("EquivalenceDecision", "equivalent reason")):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.equivalent

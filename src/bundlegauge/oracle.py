@@ -19,9 +19,9 @@ CLI accepts arbitrary user complexes in a small text format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from math import gcd
-from typing import Iterable, NamedTuple
 
 from .abelian import AbGroup, make_group
 from .manifolds import ManifoldSpec
@@ -37,22 +37,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """An exact integer matrix; rows and cols may be zero."""
+class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
+    """An exact integer matrix; rows and cols may be zero.  entries is a
+    tuple of row tuples."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __new__(
+        cls, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]
+    ) -> IntMatrix:
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("ragged matrix rows")
+        return super().__new__(cls, rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "IntMatrix":
@@ -87,9 +88,8 @@ class IntMatrix:
         return IntMatrix(self.rows, other.cols, tuple(data))
 
 
-class SNFResult(NamedTuple):
-    diagonal: tuple[int, ...]  # nonzero invariant factors d_1 | d_2 | ...
-    rank: int
+# diagonal holds the nonzero invariant factors d_1 | d_2 | ...
+SNFResult = namedtuple("SNFResult", "diagonal rank")
 
 
 def _min_pivot(a: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -223,8 +223,7 @@ def smith_normal_form(matrix: IntMatrix) -> SNFResult:
     return SNFResult(tuple(diagonal), r)
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(namedtuple("ChainComplex", "cells boundaries")):
     """Cells per degree and one boundary matrix per positive degree.
 
     boundaries[n] is the map C_n -> C_{n-1}, an IntMatrix with
@@ -232,20 +231,22 @@ class ChainComplex:
     is checked at construction.
     """
 
-    cells: tuple[int, ...]
-    boundaries: tuple[IntMatrix, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.boundaries) != max(len(self.cells) - 1, 0):
+    def __new__(
+        cls, cells: tuple[int, ...], boundaries: tuple[IntMatrix, ...]
+    ) -> ChainComplex:
+        if len(boundaries) != max(len(cells) - 1, 0):
             raise ValueError("need one boundary matrix per positive degree")
-        for n, d in enumerate(self.boundaries, start=1):
-            if d.rows != self.cells[n - 1] or d.cols != self.cells[n]:
+        for n, d in enumerate(boundaries, start=1):
+            if d.rows != cells[n - 1] or d.cols != cells[n]:
                 raise ValueError(f"boundary {n} has shape {d.rows}x{d.cols}, "
-                                 f"expected {self.cells[n-1]}x{self.cells[n]}")
-        for n in range(2, len(self.cells)):
-            dd = self.boundaries[n - 2].mul(self.boundaries[n - 1])
+                                 f"expected {cells[n-1]}x{cells[n]}")
+        for n in range(2, len(cells)):
+            dd = boundaries[n - 2].mul(boundaries[n - 1])
             if not dd.is_zero():
                 raise ValueError(f"boundary composition d_{n-1} o d_{n} is nonzero")
+        return super().__new__(cls, cells, boundaries)
 
     @classmethod
     def build(cls, cells: list[int], boundary_map: dict[int, IntMatrix]) -> "ChainComplex":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import gauge, manifolds, oracle, tables
 from .abelian import (
@@ -29,13 +29,10 @@ from .tables import LieGroupId
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class CriterionResult(
+    namedtuple("CriterionResult", "number name passed detail seconds")
+):
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

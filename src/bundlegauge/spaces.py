@@ -26,7 +26,7 @@ Text grammar (documented in docs/expression-grammar.md):
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .abelian import is_prime
 from .tables import LieGroupId
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 
-class SpaceExpr(NamedTuple):
+class SpaceExpr(namedtuple("SpaceExpr", "kind args", defaults=((),))):
     """One node: a kind of KINDS and its arguments, stored in sort order.
     Arguments are integers, flags, Lie groups, nodes, or (for products
     and wedges) a sorted tuple of nodes.
@@ -58,8 +58,7 @@ class SpaceExpr(NamedTuple):
     Nodes compare in the canonical order, by sort key, not as tuples.
     """
 
-    kind: str
-    args: tuple = ()
+    __slots__ = ()
 
     def render(self) -> str:
         kind, args = self
@@ -105,17 +104,12 @@ def _operand(expr: SpaceExpr) -> str:
     return f"({text})" if expr.kind in ("product", "wedge", "localized") else text
 
 
-class Kind(NamedTuple):
-    rank: int
-    render: Callable[..., str]
-    json: Callable[..., dict]
-
-
 # Each kind's rank in the canonical order, then its text and its JSON
 # tree as functions of the node's arguments.  The functions reach a
 # child node's row directly, not through its methods, which keeps one
 # call per node.  A loop space or a mod-m loop space marks its basepoint
 # component with the subscript _0.
+Kind = namedtuple("Kind", "rank render json")
 KINDS: dict[str, Kind] = {
     "gauge-s4": Kind(
         0,

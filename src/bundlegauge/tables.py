@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from importlib import resources
 from math import gcd
-from pathlib import Path
 
 from .abelian import AbGroup, make_group, parse_group, vp
 from .errors import UnknownValueError
@@ -41,30 +39,29 @@ _FAMILIES = ("SU", "Sp", "Spin", "G2", "F4", "E6", "E7", "E8")
 _MIN_RANK = {"SU": 2, "Sp": 1, "Spin": 5}
 
 
-@dataclass(frozen=True, order=True)  # expressions sort groups by (family, n)
-class LieGroupId:
+class LieGroupId(namedtuple("LieGroupId", "family n")):
     """A simply connected simple compact Lie group: family plus rank.
 
     The exceptional families carry no rank parameter.  SU(2) and Sp(1)
-    are distinct identifiers that report as isomorphic.
+    are distinct identifiers that report as isomorphic.  As a tuple it
+    sorts by (family, n), the order expressions use.
     """
 
-    family: str
-    n: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family in _MIN_RANK:
-            if self.n is None:
-                raise ValueError(f"{self.family} requires a rank parameter")
-            if self.n < _MIN_RANK[self.family]:
+    def __new__(cls, family: str, n: int | None = None) -> LieGroupId:
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if family in _MIN_RANK:
+            if n is None:
+                raise ValueError(f"{family} requires a rank parameter")
+            if n < _MIN_RANK[family]:
                 raise ValueError(
-                    f"{self.family}({self.n}) out of range: need n >= "
-                    f"{_MIN_RANK[self.family]}"
+                    f"{family}({n}) out of range: need n >= {_MIN_RANK[family]}"
                 )
-        elif self.n is not None:
-            raise ValueError(f"{self.family} takes no rank parameter")
+        elif n is not None:
+            raise ValueError(f"{family} takes no rank parameter")
+        return super().__new__(cls, family, n)
 
     @classmethod
     def parse(cls, token: str) -> "LieGroupId":
@@ -98,16 +95,14 @@ class LieGroupId:
         return f"{self.family}({self.n})"
 
 
-@dataclass(frozen=True)
-class TableRecord:
-    """One data-file line: a space key, a degree, a group and its source."""
+class TableRecord(namedtuple("TableRecord", "family min_n key degree group source")):
+    """One data-file line: a space key, a degree, a group and its source.
 
-    family: str | None  # None for exact keys
-    min_n: int | None  # validity bound for family records
-    key: str  # exact key text, e.g. "S3" or "SU4"
-    degree: int
-    group: AbGroup
-    source: str
+    family and min_n (the validity bound) are None for exact keys; key is
+    the key text, e.g. "S3" or "SU4".
+    """
+
+    __slots__ = ()
 
     def line(self) -> str:
         return f"{self.key} | {self.degree} | {self.group.render()} | {self.source}"
@@ -169,9 +164,9 @@ class PiTable:
         return [rec.line() for rec in self._records]
 
     @classmethod
-    def load(cls, path: str | Path) -> "PiTable":
-        text = Path(path).read_text(encoding="utf-8")
-        return cls.from_text(text)
+    def load(cls, path: str | os.PathLike) -> "PiTable":
+        with open(path, encoding="utf-8") as f:
+            return cls.from_text(f.read())
 
     @classmethod
     def from_text(cls, text: str) -> "PiTable":
@@ -218,8 +213,9 @@ class PiTable:
 def _cached_table(override: str | None) -> PiTable:
     if override:
         return PiTable.load(override)
-    data = resources.files(__package__) / "data" / "homotopy_groups.txt"
-    return PiTable.from_text(data.read_text(encoding="utf-8"))
+    # The loader reads package data from a directory and from a zip alike.
+    data = os.path.join(os.path.dirname(__file__), "data", "homotopy_groups.txt")
+    return PiTable.from_text(__spec__.loader.get_data(data).decode("utf-8"))
 
 
 def default_table() -> PiTable:

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -318,3 +320,33 @@ class TestSharedParser:
             fresh = run(["--json", *argv.split()])
             assert (result.exit_code, result.payload) == (fresh.exit_code, fresh.payload), argv
         assert len(builds) == 1 + len(SHARED_PARSER_SEQUENCE)
+
+
+def _traced_modules():
+    """The modules that bench/tracing.py rebinds right after it imports
+    bundlegauge.cli: each must already be loaded by then."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return sorted({module for module, _, _ in tracing.TARGETS})
+
+
+class TestStartup:
+    # Each of these costs start-up time on every CLI call and no answer
+    # needs it: dataclasses pulls in inspect, ast and dis; selftest (and
+    # random with it) serves one subcommand.
+    NOT_AT_STARTUP = ("dataclasses", "inspect", "typing", "importlib.resources",
+                      "pathlib", "random", "bundlegauge.selftest")
+
+    def test_cli_import_loads_only_what_an_answer_needs(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys, bundlegauge.cli; print('\\n'.join(sys.modules))"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        loaded = set(proc.stdout.split())
+        assert [m for m in self.NOT_AT_STARTUP if m in loaded] == []
+        assert [m for m in _traced_modules() if m not in loaded] == []

@@ -228,14 +228,14 @@ class TestDataFile:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(tables_module.resources, "files",
-                            counting("files", tables_module.resources.files))
+        loader = tables_module.__spec__.loader
+        monkeypatch.setattr(loader, "get_data", counting("get_data", loader.get_data))
         for name in ("load", "from_text"):
             monkeypatch.setattr(PiTable, name, staticmethod(counting(name, getattr(PiTable, name))))
         tables_module._cached_table.cache_clear()
         try:
             default_table()
-            assert "from_text" in calls  # the counters see a cold call
+            assert calls == ["get_data", "from_text"]  # the counters see a cold call
             calls.clear()
             for _ in range(3):
                 default_table()
