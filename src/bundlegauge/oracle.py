@@ -7,20 +7,26 @@ canonical form.  It builds the cellular chain complex of a total space
 the 7-cell by zero since a closed orientable 7-manifold has H_7 = Z)
 and diagonalizes boundary matrices over the integers.
 
-Smith normal form uses exact Python integers.  Pivoting on the minimal
-nonzero absolute value does not by itself keep entries small: on a
-dense 40x40 matrix with one-digit entries they reach about 90,000
-digits, although the determinant has 52.  So the elimination works
-modulo a nonzero minor of full rank, found first by fraction-free
-Bareiss elimination, and no entry exceeds Hadamard's bound.  The
-matrices produced here are tiny, but the routine is generic and the
-CLI accepts arbitrary user complexes in a small text format.
+Smith normal form uses exact Python integers, in two phases.  The
+first eliminates unit pivots on sparse rows over Z, as boundary
+matrices of cell complexes are mostly +-1 entries in sparse rows; each
+pivot leaves an invariant factor 1, and the work follows the fill-in,
+not the matrix size.  The residual goes to a dense second phase.
+Pivoting on the minimal nonzero absolute value does not by itself keep
+entries small: on a dense 40x40 matrix with one-digit entries they
+reach about 90,000 digits, although the determinant has 52.  So the
+dense phase works modulo a nonzero minor of full rank, found first by
+fraction-free Bareiss elimination, and no entry exceeds Hadamard's
+bound.  A manifold's own complex gives a 1x1 matrix, but the CLI
+accepts arbitrary user complexes in a small text format, with
+boundaries of any size.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from itertools import compress
 from math import gcd
 
 from .abelian import AbGroup, make_group
@@ -140,12 +146,107 @@ def _bareiss_rank_minor(a: list[list[int]]) -> tuple[int, int]:
     return rank, abs(prev)
 
 
-def smith_normal_form(matrix: IntMatrix) -> SNFResult:
-    """Diagonalize by unimodular row/column operations.
+def _unit_pivots(entries: Sequence[Sequence[int]]) -> tuple[int, Sequence[Sequence[int]]]:
+    """Phase 1 of smith_normal_form: eliminate unit pivots over Z.
 
-    Only the invariants are returned: the positive diagonal entries in
-    their divisibility chain, plus the rank.  The transformations are
-    not tracked.
+    Rows are held as dicts of their nonzero entries, with a column ->
+    rows index.  A pivot is a +-1 entry of a column whose entries are
+    all +-1, taken from the shortest row that has one, in the shortest
+    such column.  Clearing its column then needs row multipliers +-1
+    only, and column operations would clear its row without touching
+    any other entry, so the pivot's row and column are dropped and
+    leave one invariant factor 1.  heavy counts the entries other than
+    +-1 in each column, and a column whose count falls to zero wakes
+    its rows.
+
+    Returns the number of pivots and the residual: the rows left, on
+    the columns that still hold an entry, or the input itself when no
+    pivot was found.
+    """
+    # Any nonzero column with all its entries in {-1, 0, 1} holds a
+    # pivot, which the queue below finds; without one there is nothing
+    # to do, as for most dense matrices.  The scan runs at C speed.
+    if not any(
+        max(col) <= 1 and min(col) >= -1 and any(col) for col in zip(*entries)
+    ):
+        return 0, entries
+    # Imported here: heapq loads a C extension, and start-up should not
+    # pay for it when no input has a unit pivot.
+    from heapq import heapify, heappop, heappush
+
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    heavy: dict[int, int] = {}
+    columns = range(len(entries[0]))
+    for i, row in enumerate(entries):
+        sparse = {j: row[j] for j in compress(columns, row)}
+        if not sparse:
+            continue
+        rows[i] = sparse
+        for j, v in sparse.items():
+            if j in cols:
+                cols[j].add(i)
+            else:
+                cols[j] = {i}
+            if v != 1 and v != -1:
+                heavy[j] = heavy.get(j, 0) + 1
+    queue = [(len(row), i) for i, row in rows.items()]
+    heapify(queue)
+
+    def lighten(c: int) -> None:
+        heavy[c] -= 1
+        if not heavy[c]:
+            del heavy[c]
+            for k in cols[c]:
+                heappush(queue, (len(rows[k]), k))
+
+    ones = 0
+    while queue:
+        length, i = heappop(queue)
+        pivot_row = rows.get(i)
+        if pivot_row is None or len(pivot_row) != length:
+            continue  # eliminated or changed since it was queued
+        units = [j for j in pivot_row if j not in heavy]
+        if not units:
+            continue
+        j = min(units, key=lambda c: len(cols[c]))
+        p = pivot_row.pop(j)
+        del rows[i]
+        ones += 1
+        for c, v in pivot_row.items():
+            cols[c].discard(i)
+            if v != 1 and v != -1:
+                lighten(c)
+        for k in cols.pop(j):
+            if k == i:
+                continue
+            row = rows[k]
+            f = row.pop(j) * p  # row_k -= f * row_i zeroes row_k[j]
+            for c, v in pivot_row.items():
+                old = row.get(c, 0)
+                new = old - f * v
+                if old and old != 1 and old != -1:
+                    lighten(c)
+                if new:
+                    row[c] = new
+                    if not old:
+                        cols[c].add(k)
+                    if new != 1 and new != -1:
+                        heavy[c] = heavy.get(c, 0) + 1
+                else:
+                    del row[c]
+                    cols[c].discard(k)
+            if row:
+                heappush(queue, (len(row), k))
+            else:
+                del rows[k]
+    live = sorted(c for c, held in cols.items() if held)
+    return ones, [[row.get(c, 0) for c in live] for row in rows.values()]
+
+
+def _dense_snf(entries: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
+    """Phase 2 of smith_normal_form: invariant factors and rank of a
+    nonempty dense matrix, by elimination modulo a Bareiss minor.
 
     The rank r and a nonzero r x r minor M come from Bareiss
     elimination.  Every invariant factor divides d_1...d_r, the gcd of
@@ -154,15 +255,10 @@ def smith_normal_form(matrix: IntMatrix) -> SNFResult:
     spanned by the columns and by M Z^rows, which are gcd(d_i, M) = d_i
     for i <= r and M beyond.  Each pivot e gives gcd(e, M), and pivots
     still missing after the entries vanish mod M are M.
-
-    >>> smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
-    SNFResult(diagonal=(1, 6), rank=2)
     """
-    if matrix.rows == 0 or matrix.cols == 0:
-        return SNFResult((), 0)
-    r, modulus = _bareiss_rank_minor([list(row) for row in matrix.entries])
-    a = [[x % modulus for x in row] for row in matrix.entries]
-    nrows, ncols = matrix.rows, matrix.cols
+    r, modulus = _bareiss_rank_minor([list(row) for row in entries])
+    a = [[x % modulus for x in row] for row in entries]
+    nrows, ncols = len(a), len(a[0])
     diagonal: list[int] = []
     t = 0
     while t < r:
@@ -220,7 +316,39 @@ def smith_normal_form(matrix: IntMatrix) -> SNFResult:
         diagonal.append(g)
         t += 1
     diagonal.extend([modulus] * (r - t))
-    return SNFResult(tuple(diagonal), r)
+    return tuple(diagonal), r
+
+
+
+
+def smith_normal_form(matrix: IntMatrix) -> SNFResult:
+    """Diagonalize by unimodular row/column operations.
+
+    Only the invariants are returned: the positive diagonal entries in
+    their divisibility chain, plus the rank.  The transformations are
+    not tracked.
+
+    Two phases.  The first eliminates unit pivots on sparse rows over
+    Z, each leaving an invariant factor 1; it pivots only in columns
+    whose entries are all +-1, so every row multiplier is +-1.  The
+    second diagonalizes the residual densely, modulo a nonzero minor
+    found by Bareiss elimination.  The pivot operations are unimodular,
+    so the input is equivalent to an identity block beside the
+    residual, and the result is (1,) * pivots followed by the residual's
+    factors.  Each residual entry is a Schur complement over a pivot
+    block of determinant +-1, hence up to sign a minor of the input, so
+    Hadamard's bound holds for the residual as for the input.
+
+    >>> smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    SNFResult(diagonal=(1, 6), rank=2)
+    """
+    if matrix.rows == 0 or matrix.cols == 0:
+        return SNFResult((), 0)
+    ones, residual = _unit_pivots(matrix.entries)
+    if not residual:
+        return SNFResult((1,) * ones, ones)
+    diagonal, rank = _dense_snf(residual)
+    return SNFResult((1,) * ones + diagonal, ones + rank)
 
 
 class ChainComplex(namedtuple("ChainComplex", "cells boundaries")):
@@ -314,7 +442,8 @@ def parse_complex(text: str) -> ChainComplex:
 
     Format: a ``cells:`` line with the cell counts per degree, then one
     ``boundary N:`` block per nonzero boundary, holding cells[N-1] rows
-    of cells[N] integers.  Lines starting with ``#`` are comments.
+    of cells[N] integers.  Lines starting with ``#`` are comments.  A
+    second ``cells:`` line or a second block for the same N is refused.
 
     >>> cx = parse_complex('''
     ... cells: 1 0 0 1 1 0 0 1
@@ -347,7 +476,8 @@ def parse_complex(text: str) -> ChainComplex:
         if not line or line.startswith("#"):
             continue
         if line.startswith("cells:"):
-            close_pending()
+            if cells is not None:
+                raise ValueError(f"repeated cells: line: {line!r}")
             cells = [int(x) for x in line.removeprefix("cells:").split()]
             if any(c < 0 for c in cells):
                 raise ValueError("cell counts must be nonnegative")
@@ -360,6 +490,8 @@ def parse_complex(text: str) -> ChainComplex:
             n = int(head)
             if not 1 <= n < len(cells):
                 raise ValueError(f"boundary degree {n} out of range")
+            if n in boundary_map:
+                raise ValueError(f"repeated boundary block: {line!r}")
             pending = n
             continue
         if pending is None:

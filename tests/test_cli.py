@@ -176,6 +176,21 @@ class TestTablesAndOracle:
         result = ok(["oracle", "homology", "--complex", str(path)])
         assert result.payload["result"]["degrees"] == ["Z", "Z_2", "0"]
 
+    @pytest.mark.parametrize(
+        "text,repeated",
+        [
+            ("cells: 1 1\nboundary 1:\n0\nboundary 1:\n5\n", "'boundary 1:'"),
+            ("cells: 1 1\ncells: 1 1 1\nboundary 2:\n2\n", "'cells: 1 1 1'"),
+        ],
+    )
+    def test_oracle_complex_with_a_repeated_line(self, tmp_path, text, repeated):
+        path = tmp_path / "complex.txt"
+        path.write_text(text, encoding="utf-8")
+        result = run(["oracle", "homology", "--complex", str(path)])
+        assert result.exit_code == EXIT_USAGE
+        assert result.payload["status"] == "usage-error"
+        assert repeated in result.payload["error"]
+
     def test_oracle_missing_arguments(self):
         result = run(["oracle", "homology"])
         assert result.exit_code == EXIT_USAGE

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bundlegauge import oracle
 from bundlegauge.abelian import make_group
 from bundlegauge.manifolds import homology, normalize
 from bundlegauge.oracle import (
@@ -37,17 +38,35 @@ def brute_force_minor_gcd(entries, k):
 
 
 @st.composite
-def small_matrices(draw):
-    rows = draw(st.integers(1, 4))
-    cols = draw(st.integers(1, 4))
+def small_matrices(draw, values=st.integers(-9, 9), size=4):
+    rows = draw(st.integers(1, size))
+    cols = draw(st.integers(1, size))
     entries = draw(
         st.lists(
-            st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+            st.lists(values, min_size=cols, max_size=cols),
             min_size=rows,
             max_size=rows,
         )
     )
     return IntMatrix.from_rows(entries, cols=cols)
+
+
+# Mostly -1, 0 and 1 with an occasional +-2: unit pivots, columns made
+# heavy by a 2 (or by fill-in), and residuals left to the dense phase.
+UNIT_LEANING = st.sampled_from((-1, 0, 1) * 4 + (2, -2))
+
+
+def assert_determinantal_divisors(matrix):
+    diagonal, rank = smith_normal_form(matrix)
+    for a, b in zip(diagonal, diagonal[1:]):
+        assert b % a == 0
+    entries = [list(row) for row in matrix.entries]
+    running = 1
+    for k, d in enumerate(diagonal, start=1):
+        running *= d
+        assert brute_force_minor_gcd(entries, k) == running
+    if rank < min(matrix.rows, matrix.cols):
+        assert brute_force_minor_gcd(entries, rank + 1) == 0
 
 
 class TestSmithNormalForm:
@@ -80,19 +99,45 @@ class TestSmithNormalForm:
         assert smith_normal_form(IntMatrix.from_rows([[0]])) == ((), 0)
         assert smith_normal_form(IntMatrix.from_rows([[0, 0], [0, 0]])) == ((), 0)
 
+    def test_unit_entries(self):
+        assert smith_normal_form(IntMatrix.from_rows([[1]])) == ((1,), 1)
+        assert smith_normal_form(IntMatrix.from_rows([[-1]])) == ((1,), 1)
+
+    def test_units_only_in_a_heavy_column(self):
+        # Column 0 holds the only units, and its 2 makes it heavy, so
+        # the sparse phase finds no pivot and hands on the input itself.
+        matrix = IntMatrix.from_rows([[1, 2], [2, 2]])
+        ones, residual = oracle._unit_pivots(matrix.entries)
+        assert ones == 0 and residual is matrix.entries
+        assert smith_normal_form(matrix) == ((1, 2), 2)
+
+    def test_unit_pivots_alone(self):
+        matrix = IntMatrix.from_rows([[1, -1, 0], [0, 1, -1], [0, 0, 1]])
+        assert oracle._unit_pivots(matrix.entries) == (3, [])
+        assert smith_normal_form(matrix) == ((1, 1, 1), 3)
+
+    def test_zero_row_and_column_left_after_elimination(self):
+        # The pivot clears row 1 and column 1 entirely; only the 3,
+        # in a heavy column, reaches the dense phase.
+        matrix = IntMatrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 3]])
+        assert oracle._unit_pivots(matrix.entries) == (1, [[3]])
+        assert smith_normal_form(matrix) == ((1, 3), 2)
+
+    def test_fill_in_makes_a_column_heavy(self):
+        # Pivoting on row 0 turns row 1 into (0, 2, 0): column 1 is
+        # heavy from then on, and the 2 survives as a factor.
+        matrix = IntMatrix.from_rows([[1, -1], [1, 1]])
+        assert smith_normal_form(matrix) == ((1, 2), 2)
+
     @settings(max_examples=300)
     @given(small_matrices())
     def test_against_determinantal_divisors(self, matrix):
-        diagonal, rank = smith_normal_form(matrix)
-        for a, b in zip(diagonal, diagonal[1:]):
-            assert b % a == 0
-        entries = [list(row) for row in matrix.entries]
-        running = 1
-        for k, d in enumerate(diagonal, start=1):
-            running *= d
-            assert brute_force_minor_gcd(entries, k) == running
-        if rank < min(matrix.rows, matrix.cols):
-            assert brute_force_minor_gcd(entries, rank + 1) == 0
+        assert_determinantal_divisors(matrix)
+
+    @settings(max_examples=300)
+    @given(small_matrices(UNIT_LEANING, size=5))
+    def test_unit_leaning_against_determinantal_divisors(self, matrix):
+        assert_determinantal_divisors(matrix)
 
     @settings(max_examples=150)
     @given(small_matrices(), st.randoms(use_true_random=False))
@@ -222,3 +267,11 @@ class TestComplexParsing:
     def test_stray_text_rejected(self):
         with pytest.raises(ValueError):
             parse_complex("cells: 1 1\nnot a number\n")
+
+    def test_repeated_boundary_block_rejected(self):
+        with pytest.raises(ValueError, match="repeated boundary block: 'boundary 1:'"):
+            parse_complex("cells: 1 1\nboundary 1:\n0\nboundary 1:\n5\n")
+
+    def test_repeated_cells_line_rejected(self):
+        with pytest.raises(ValueError, match="repeated cells: line: 'cells: 1 1 1'"):
+            parse_complex("cells: 1 1\ncells: 1 1 1\nboundary 2:\n2\n")

@@ -1,11 +1,14 @@
 """Worst-case inputs with wall-clock budgets.
 
-Large primes must not turn an exact answer into a search, and a dense
-integer matrix must not blow up in Smith normal form.  The budgets are
-loose (0.5 s for the number theory, 5 s for the 80x80 matrix) because
-they only have to separate polynomial work from a search: trial
-division up to the square root of a prime near 10^17 alone takes
-seconds, and near 10^18 minutes.
+Large primes must not turn an exact answer into a search, a dense
+integer matrix must not blow up in Smith normal form, and a sparse one
+must not cost as much as a dense one of its size.  The budgets are
+loose (0.5 s for the number theory, 5 s for the 80x80 and the sparse
+1000x1000 matrices, 3 s for the Klein bottle) because they only have to
+separate polynomial work from a search, or sparse from dense work:
+trial division up to the square root of a prime near 10^17 alone takes
+seconds, and near 10^18 minutes, and dense elimination of the sparse
+1000x1000 matrix takes minutes.
 """
 
 import math
@@ -15,10 +18,12 @@ import time
 import pytest
 
 from bundlegauge.cli import EXIT_OK, EXIT_OUT_OF_SCOPE, EXIT_USAGE, run
-from bundlegauge.oracle import IntMatrix, smith_normal_form
+from bundlegauge.oracle import ChainComplex, IntMatrix, homology_of, smith_normal_form
 
 NUMBER_THEORY_BUDGET_S = 0.5
 DENSE_SNF_BUDGET_S = 5.0
+SPARSE_SNF_BUDGET_S = 5.0
+KLEIN_HOMOLOGY_BUDGET_S = 3.0
 
 
 def timed(fn, *args):
@@ -83,3 +88,95 @@ def test_dense_80x80_within_budget():
     assert all(b % a == 0 for a, b in zip(diagonal, diagonal[1:]))
     assert math.prod(diagonal) == abs(det)
     assert seconds < DENSE_SNF_BUDGET_S
+
+
+def rank_mod_p(rows, p=2**61 - 1):
+    """Rank over GF(p) by sparse echelon insertion, pivoting each row on
+    its column with the fewest entries in the input.  Over Z the rank
+    is at least this, and equal unless p divides an invariant factor."""
+    rows = [{j: v % p for j, v in enumerate(row) if v} for row in rows]
+    count = {}
+    for row in rows:
+        for j in row:
+            count[j] = count.get(j, 0) + 1
+    basis = {}
+    for row in rows:
+        while row:
+            c = min(row, key=lambda j: (count[j], j))
+            if c not in basis:
+                inv = pow(row[c], -1, p)
+                basis[c] = {j: v * inv % p for j, v in row.items()}
+                break
+            f = row[c]
+            for j, v in basis[c].items():
+                x = (row.get(j, 0) - f * v) % p
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+    return len(basis)
+
+
+def test_sparse_1000x1000_within_budget():
+    rng = random.Random(1000)
+    rows = []
+    for _ in range(1000):
+        row = [0] * 1000
+        for j in rng.sample(range(1000), 3):
+            row[j] = rng.choice((-1, 1))
+        rows.append(row)
+    (diagonal, rank), seconds = timed(smith_normal_form, IntMatrix.from_rows(rows))
+    assert rank == rank_mod_p(rows)
+    assert len(diagonal) == rank
+    assert all(b % a == 0 for a, b in zip(diagonal, diagonal[1:]))
+    assert seconds < SPARSE_SNF_BUDGET_S
+
+
+def klein_bottle_grid(n, rng):
+    """Square cells on an n x n grid glued into a Klein bottle: x wraps
+    around, and the top edge (x, n) is glued to the bottom at (-x, 0).
+    Cells are shuffled and their orientations flipped at random.
+    Returns the cell counts and the boundary matrices d1 and d2."""
+
+    def vertex(x, y):
+        return (-x % n) * n if y == n else (x % n) * n + y
+
+    def h_edge(x, y):  # from (x, y) to (x + 1, y), as (index, sign)
+        return (((-x - 1) % n) * n, -1) if y == n else ((x % n) * n + y, 1)
+
+    def v_edge(x, y):  # from (x, y) to (x, y + 1)
+        return n * n + (x % n) * n + y, 1
+
+    nv, ne, nf = n * n, 2 * n * n, n * n
+    d1 = [[0] * ne for _ in range(nv)]
+    d2 = [[0] * nf for _ in range(ne)]
+    for x in range(n):
+        for y in range(n):
+            e, _ = h_edge(x, y)
+            d1[vertex(x + 1, y)][e] += 1
+            d1[vertex(x, y)][e] -= 1
+            e, _ = v_edge(x, y)
+            d1[vertex(x, y + 1)][e] += 1
+            d1[vertex(x, y)][e] -= 1
+            f = x * n + y
+            for (e, s), sign in (
+                (h_edge(x, y), 1),
+                (v_edge(x + 1, y), 1),
+                (h_edge(x, y + 1), -1),
+                (v_edge(x, y), -1),
+            ):
+                d2[e][f] += sign * s
+    vs, es, fs = (rng.sample(range(k), k) for k in (nv, ne, nf))
+    e_sign = [rng.choice((-1, 1)) for _ in range(ne)]
+    f_sign = [rng.choice((-1, 1)) for _ in range(nf)]
+    d1 = [[d1[v][e] * e_sign[e] for e in es] for v in vs]
+    d2 = [[d2[e][f] * e_sign[e] * f_sign[f] for f in fs] for e in es]
+    return [nv, ne, nf], IntMatrix.from_rows(d1), IntMatrix.from_rows(d2)
+
+
+def test_klein_bottle_homology_within_budget():
+    cells, d1, d2 = klein_bottle_grid(20, random.Random(20))
+    complex_ = ChainComplex.build(cells, {1: d1, 2: d2})
+    groups, seconds = timed(homology_of, complex_)
+    assert [g.render() for g in groups] == ["Z", "Z + Z_2", "0"]
+    assert seconds < KLEIN_HOMOLOGY_BUDGET_S
