@@ -17,9 +17,13 @@ entries small: on a dense 40x40 matrix with one-digit entries they
 reach about 90,000 digits, although the determinant has 52.  So the
 dense phase works modulo a nonzero minor of full rank, found first by
 fraction-free Bareiss elimination, and no entry exceeds Hadamard's
-bound.  A manifold's own complex gives a 1x1 matrix, but the CLI
-accepts arbitrary user complexes in a small text format, with
-boundaries of any size.
+bound.  Modulo that minor every entry prime to it is a unit, so the
+dense phase first takes such pivots: it scales each to 1, clears its
+column with whole-row operations and drops its row and column.
+Min-pivot Euclidean elimination handles only what is left.  A
+manifold's own complex gives a 1x1 matrix, but the CLI accepts
+arbitrary user complexes in a small text format, with boundaries of
+any size.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         # Build each tuple from a list, at its final size: a tuple built
         # from a generator is resized as it grows, which over many calls
         # fragments the allocator and raises peak memory.
-        data = tuple([tuple([int(x) for x in row]) for row in rows])
+        data = tuple([tuple(list(map(int, row))) for row in rows])
         if cols is None:
             cols = len(data[0]) if data else 0
         return cls(len(data), cols, data)
@@ -76,20 +80,22 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         return cls(rows, cols, ((0,) * cols,) * rows)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.entries))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         """Matrix product that multiplies nonzero entries only."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        sparse = [[(j, y) for j, y in enumerate(row) if y] for row in other.entries]
+        # any and compress skip the zeros at C speed.
+        columns = range(other.cols)
+        sparse = [[(j, row[j]) for j in compress(columns, row)] if any(row) else ()
+                  for row in other.entries]
         data = []
         for row in self.entries:
             acc = [0] * other.cols
-            for k, x in enumerate(row):
-                if x:
-                    for j, y in sparse[k]:
-                        acc[j] += x * y
+            for x, nonzeros in compress(zip(row, sparse), row):
+                for j, y in nonzeros:
+                    acc[j] += x * y
             data.append(tuple(acc))
         return IntMatrix(self.rows, other.cols, tuple(data))
 
@@ -138,7 +144,8 @@ def _bareiss_rank_minor(a: list[list[int]]) -> tuple[int, int]:
             f = row[col]
             if f == 0 and (p == prev or p == -prev):
                 continue
-            a[i] = [(x * p - f * y) // prev for x, y in zip(row, top)]
+            # Columns before col are zero below the pivot rows already.
+            row[col:] = [(x * p - f * y) // prev for x, y in zip(row[col:], top[col:])]
         prev = p
         rank += 1
         if rank == nrows:
@@ -250,16 +257,38 @@ def _dense_snf(entries: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
 
     The rank r and a nonzero r x r minor M come from Bareiss
     elimination.  Every invariant factor divides d_1...d_r, the gcd of
-    the r x r minors, and so divides M.  Min-pivot elimination then runs
-    on entries reduced mod M: this computes the invariants of the lattice
+    the r x r minors, and so divides M.  Elimination then runs on
+    entries reduced mod M: this computes the invariants of the lattice
     spanned by the columns and by M Z^rows, which are gcd(d_i, M) = d_i
-    for i <= r and M beyond.  Each pivot e gives gcd(e, M), and pivots
-    still missing after the entries vanish mod M are M.
+    for i <= r and M beyond.
+
+    Unit pivots come first, as in phase 1 over Z.  An entry x with
+    gcd(x, M) = 1 is a unit of Z/MZ: scaling its row by x^-1 mod M
+    makes it 1, whole-row operations clear its column, and its row and
+    column are dropped, leaving one invariant factor 1.  Min-pivot
+    elimination then runs on what remains, where no entry is a unit.
+    Each pivot e gives gcd(e, M), and pivots still missing after the
+    entries vanish mod M are M.
     """
-    r, modulus = _bareiss_rank_minor([list(row) for row in entries])
+    rank, modulus = _bareiss_rank_minor([list(row) for row in entries])
     a = [[x % modulus for x in row] for row in entries]
-    nrows, ncols = len(a), len(a[0])
     diagonal: list[int] = []
+    while True:
+        pivot = next(((i, j) for i, row in enumerate(a) for j in compress(range(len(row)), row)
+                      if gcd(row[j], modulus) == 1), None)
+        if pivot is None:
+            break
+        i, j = pivot
+        top = a.pop(i)
+        inverse = pow(top.pop(j), -1, modulus)
+        top = [x * inverse % modulus for x in top]
+        for k, row in enumerate(a):
+            f = row.pop(j)
+            if f:
+                a[k] = [(x - f * y) % modulus for x, y in zip(row, top)]
+        diagonal.append(1)
+    r = rank - len(diagonal)
+    nrows, ncols = len(a), len(entries[0]) - len(diagonal)
     t = 0
     while t < r:
         pos = _min_pivot(a, t)
@@ -316,7 +345,7 @@ def _dense_snf(entries: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
         diagonal.append(g)
         t += 1
     diagonal.extend([modulus] * (r - t))
-    return tuple(diagonal), r
+    return tuple(diagonal), rank
 
 
 
@@ -332,19 +361,22 @@ def smith_normal_form(matrix: IntMatrix) -> SNFResult:
     Z, each leaving an invariant factor 1; it pivots only in columns
     whose entries are all +-1, so every row multiplier is +-1.  The
     second diagonalizes the residual densely, modulo a nonzero minor
-    found by Bareiss elimination.  The pivot operations are unimodular,
+    found by Bareiss elimination, and takes unit pivots mod that minor
+    before min-pivot elimination.  The pivot operations are unimodular,
     so the input is equivalent to an identity block beside the
     residual, and the result is (1,) * pivots followed by the residual's
     factors.  Each residual entry is a Schur complement over a pivot
     block of determinant +-1, hence up to sign a minor of the input, so
-    Hadamard's bound holds for the residual as for the input.
+    Hadamard's bound holds for the residual as for the input.  Zero rows
+    change no invariant and are dropped before either phase.
 
     >>> smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
     SNFResult(diagonal=(1, 6), rank=2)
     """
-    if matrix.rows == 0 or matrix.cols == 0:
+    rows = [row for row in matrix.entries if any(row)] if matrix.cols else ()
+    if not rows:
         return SNFResult((), 0)
-    ones, residual = _unit_pivots(matrix.entries)
+    ones, residual = _unit_pivots(rows)
     if not residual:
         return SNFResult((1,) * ones, ones)
     diagonal, rank = _dense_snf(residual)
@@ -479,6 +511,8 @@ def parse_complex(text: str) -> ChainComplex:
             if cells is not None:
                 raise ValueError(f"repeated cells: line: {line!r}")
             cells = [int(x) for x in line.removeprefix("cells:").split()]
+            if not cells:
+                raise ValueError("cells: line has no counts")
             if any(c < 0 for c in cells):
                 raise ValueError("cell counts must be nonnegative")
             continue

@@ -191,6 +191,14 @@ class TestTablesAndOracle:
         assert result.payload["status"] == "usage-error"
         assert repeated in result.payload["error"]
 
+    def test_oracle_complex_with_no_cell_counts(self, tmp_path):
+        path = tmp_path / "complex.txt"
+        path.write_text("cells:\n", encoding="utf-8")
+        result = run(["--json", "oracle", "homology", "--complex", str(path)])
+        assert result.exit_code == EXIT_USAGE == 1
+        assert result.payload["status"] == "usage-error"
+        assert "no counts" in result.payload["error"]
+
     def test_oracle_missing_arguments(self):
         result = run(["oracle", "homology"])
         assert result.exit_code == EXIT_USAGE

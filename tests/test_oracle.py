@@ -69,6 +69,48 @@ def assert_determinantal_divisors(matrix):
         assert brute_force_minor_gcd(entries, rank + 1) == 0
 
 
+# Products of 2s and 3s, so that the minor M found by Bareiss is often
+# even or divisible by 3 while some entries stay prime to it: the dense
+# phase meets both unit and non-unit pivots mod M.
+UDV_FACTORS = (0, 1, 2, 3, 4, 6, 12, 36)
+
+
+def unimodular_mix(rng, n):
+    """A seeded n x n integer matrix of determinant +-1: the identity
+    after random swaps, negations and additions of +-1 or +-2 times one
+    row to another."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a == b:
+            u[a] = [-x for x in u[a]]
+        elif rng.random() < 0.25:
+            u[a], u[b] = u[b], u[a]
+        else:
+            f = rng.choice((-2, -1, 1, 2))
+            u[a] = [x + f * y for x, y in zip(u[a], u[b])]
+    return u
+
+
+def product(left, right):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+def diagonal_invariants(factors):
+    """Invariant factors of a diagonal matrix of products of 2s and 3s:
+    for each prime, the i-th factor takes the i-th smallest exponent."""
+    nonzero = [d for d in factors if d]
+
+    def exponent(d, p):
+        e = 0
+        while d % p == 0:
+            d, e = d // p, e + 1
+        return e
+
+    powers = [sorted(p ** exponent(d, p) for d in nonzero) for p in (2, 3)]
+    return tuple(a * b for a, b in zip(*powers)), len(nonzero)
+
+
 class TestSmithNormalForm:
     def test_single_entry(self):
         assert smith_normal_form(IntMatrix.from_rows([[6]])) == ((6,), 1)
@@ -128,6 +170,47 @@ class TestSmithNormalForm:
         # heavy from then on, and the 2 survives as a factor.
         matrix = IntMatrix.from_rows([[1, -1], [1, 1]])
         assert smith_normal_form(matrix) == ((1, 2), 2)
+
+    def test_unimodular_input_has_minor_one(self):
+        # No column is all +-1, so the whole matrix reaches the dense
+        # phase, where the minor is 1 and every entry vanishes mod it.
+        entries = [[2, 3, 4], [3, 5, 7], [5, 9, 14]]
+        assert oracle._bareiss_rank_minor([list(r) for r in entries]) == (3, 1)
+        assert smith_normal_form(IntMatrix.from_rows(entries)) == ((1, 1, 1), 3)
+
+    def test_no_unit_mod_the_minor(self):
+        # 2A for the unimodular A above: every entry is even, as is the
+        # minor, so no pivot is a unit and min-pivot elimination does
+        # all the work.
+        entries = [[2 * x for x in row] for row in ([2, 3, 4], [3, 5, 7], [5, 9, 14])]
+        assert oracle._bareiss_rank_minor([list(r) for r in entries]) == (3, 8)
+        assert smith_normal_form(IntMatrix.from_rows(entries)) == ((2, 2, 2), 3)
+
+    def test_rank_deficient_non_square(self):
+        # Row 3 is row 1 plus row 2.  The minor is 24: 11 is a unit mod
+        # 24, and the 6 is left to min-pivot elimination.
+        entries = [[4, 2, 6, 8], [6, 9, 3, 15], [10, 11, 9, 23]]
+        assert oracle._bareiss_rank_minor([list(r) for r in entries]) == (2, 24)
+        matrix = IntMatrix.from_rows(entries)
+        assert smith_normal_form(matrix) == ((1, 6), 2)
+        assert_determinantal_divisors(matrix)
+        transposed = IntMatrix.from_rows(zip(*entries))
+        assert smith_normal_form(transposed) == ((1, 6), 2)
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.lists(st.sampled_from(UDV_FACTORS), min_size=5, max_size=5),
+        st.randoms(use_true_random=False),
+    )
+    def test_unimodular_mix_of_a_diagonal(self, rows, cols, factors, rng):
+        factors = factors[: min(rows, cols)]
+        d = [[factors[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+        entries = product(product(unimodular_mix(rng, rows), d), unimodular_mix(rng, cols))
+        matrix = IntMatrix.from_rows(entries, cols=cols)
+        assert smith_normal_form(matrix) == diagonal_invariants(factors)
+        assert_determinantal_divisors(matrix)
 
     @settings(max_examples=300)
     @given(small_matrices())
@@ -271,6 +354,15 @@ class TestComplexParsing:
     def test_repeated_boundary_block_rejected(self):
         with pytest.raises(ValueError, match="repeated boundary block: 'boundary 1:'"):
             parse_complex("cells: 1 1\nboundary 1:\n0\nboundary 1:\n5\n")
+
+    def test_cells_line_without_counts_rejected(self):
+        with pytest.raises(ValueError, match="cells: line has no counts"):
+            parse_complex("cells:\n")
+        with pytest.raises(ValueError, match="cells: line has no counts"):
+            parse_complex("# nothing\ncells:   \n")
+
+    def test_single_zero_count_is_the_empty_complex(self):
+        assert [g.render() for g in homology_of(parse_complex("cells: 0\n"))] == ["0"]
 
     def test_repeated_cells_line_rejected(self):
         with pytest.raises(ValueError, match="repeated cells: line: 'cells: 1 1 1'"):

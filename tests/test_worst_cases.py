@@ -4,11 +4,13 @@ Large primes must not turn an exact answer into a search, a dense
 integer matrix must not blow up in Smith normal form, and a sparse one
 must not cost as much as a dense one of its size.  The budgets are
 loose (0.5 s for the number theory, 5 s for the 80x80 and the sparse
-1000x1000 matrices, 3 s for the Klein bottle) because they only have to
-separate polynomial work from a search, or sparse from dense work:
-trial division up to the square root of a prime near 10^17 alone takes
-seconds, and near 10^18 minutes, and dense elimination of the sparse
-1000x1000 matrix takes minutes.
+1000x1000 matrices, 3 s for the Klein bottle, 1 s for a complex with
+3000x3000 zero boundaries) because they only have to separate
+polynomial work from a search, or sparse from dense work: trial
+division up to the square root of a prime near 10^17 alone takes
+seconds, and near 10^18 minutes, dense elimination of the sparse
+1000x1000 matrix takes minutes, and walking every entry of the zero
+boundaries in Python takes seconds.
 """
 
 import math
@@ -24,6 +26,7 @@ NUMBER_THEORY_BUDGET_S = 0.5
 DENSE_SNF_BUDGET_S = 5.0
 SPARSE_SNF_BUDGET_S = 5.0
 KLEIN_HOMOLOGY_BUDGET_S = 3.0
+ZERO_BOUNDARY_BUDGET_S = 1.0
 
 
 def timed(fn, *args):
@@ -180,3 +183,16 @@ def test_klein_bottle_homology_within_budget():
     groups, seconds = timed(homology_of, complex_)
     assert [g.render() for g in groups] == ["Z", "Z + Z_2", "0"]
     assert seconds < KLEIN_HOMOLOGY_BUDGET_S
+
+
+def test_zero_boundaries_within_budget(tmp_path):
+    # Without a boundary block both boundaries are zero, 1x3000 and
+    # 3000x3000: a 19-byte file with 9 million matrix entries.
+    path = tmp_path / "zero.txt"
+    path.write_text("cells: 1 3000 3000\n", encoding="utf-8")
+    argv = ["--json", "oracle", "homology", "--complex", str(path)]
+    result, seconds = timed(run, argv)
+    assert result.exit_code == EXIT_OK, result.text
+    free = " + ".join(["Z"] * 3000)
+    assert result.payload["result"]["degrees"] == ["Z", free, free]
+    assert seconds < ZERO_BOUNDARY_BUDGET_S
