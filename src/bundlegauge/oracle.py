@@ -15,9 +15,11 @@ not the matrix size.  The residual goes to a dense second phase.
 Pivoting on the minimal nonzero absolute value does not by itself keep
 entries small: on a dense 40x40 matrix with one-digit entries they
 reach about 90,000 digits, although the determinant has 52.  So the
-dense phase works modulo a nonzero minor of full rank, found first by
-fraction-free Bareiss elimination, and no entry exceeds Hadamard's
-bound.  Modulo that minor every entry prime to it is a unit, so the
+dense phase works modulo a gcd of minors that fraction-free Bareiss
+elimination exposes, and no entry exceeds Hadamard's bound: the last
+two pivots of a square matrix of full rank, whose last invariant
+factor is then |det| over the others, or else the minors of the last
+pivot step.  Modulo that gcd every entry prime to it is a unit, so the
 dense phase first takes such pivots: it scales each to 1, clears its
 column with whole-row operations and drops its row and column.
 Min-pivot Euclidean elimination handles only what is left.  A
@@ -30,8 +32,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from itertools import compress
-from math import gcd
+from itertools import chain, compress
+from math import gcd, prod
 
 from .abelian import AbGroup, make_group
 from .manifolds import ManifoldSpec
@@ -69,8 +71,11 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "IntMatrix":
         # Build each tuple from a list, at its final size: a tuple built
         # from a generator is resized as it grows, which over many calls
-        # fragments the allocator and raises peak memory.
-        data = tuple([tuple(list(map(int, row))) for row in rows])
+        # fragments the allocator and raises peak memory.  int() converts
+        # only when a type check at C speed finds an entry not an int.
+        data = tuple([tuple(row) for row in rows])
+        if not {int}.issuperset(map(type, chain.from_iterable(data))):
+            data = tuple([tuple(list(map(int, row))) for row in data])
         if cols is None:
             cols = len(data[0]) if data else 0
         return cls(len(data), cols, data)
@@ -117,13 +122,16 @@ def _min_pivot(a: list[list[int]], t: int) -> tuple[int, int] | None:
     return best
 
 
-def _bareiss_rank_minor(a: list[list[int]]) -> tuple[int, int]:
-    """Rank r and the absolute value of one nonzero r x r minor.
+def _bareiss_rank_minor(a: list[list[int]]) -> tuple[int, int, int, int]:
+    """Rank r, |P_r|, |P_{r-1}| and the gcd of the last pivot step.
 
     Fraction-free elimination in place: every intermediate entry is,
     up to sign, a minor of the input, so each division is exact and no
-    entry exceeds Hadamard's bound.  The last pivot is the minor on the
-    pivot rows and columns; it is 1 for the zero matrix.
+    entry exceeds Hadamard's bound.  The k-th pivot P_k is the k x k
+    minor on the first k pivot rows and columns, and P_0 = 1.  At the
+    last step the pivot row from the pivot column on and that column
+    below the pivot hold r x r minors; their gcd is returned.  The zero
+    matrix gives (0, 1, 1, 1).
 
     A row with a zero in the pivot column only gets scaled by p / prev.
     When that factor is 1 or -1 the row is left as it is; for -1 that
@@ -131,7 +139,7 @@ def _bareiss_rank_minor(a: list[list[int]]) -> tuple[int, int]:
     any |minor|.
     """
     nrows, ncols = len(a), len(a[0])
-    rank, prev = 0, 1
+    rank, prev, before, step = 0, 1, 1, [1]
     for col in range(ncols):
         pivot = next((i for i in range(rank, nrows) if a[i][col]), None)
         if pivot is None:
@@ -139,6 +147,7 @@ def _bareiss_rank_minor(a: list[list[int]]) -> tuple[int, int]:
         a[rank], a[pivot] = a[pivot], a[rank]
         top = a[rank]
         p = top[col]
+        step = top[col:] + [row[col] for row in a[rank + 1 :]]
         for i in range(rank + 1, nrows):
             row = a[i]
             f = row[col]
@@ -146,11 +155,11 @@ def _bareiss_rank_minor(a: list[list[int]]) -> tuple[int, int]:
                 continue
             # Columns before col are zero below the pivot rows already.
             row[col:] = [(x * p - f * y) // prev for x, y in zip(row[col:], top[col:])]
-        prev = p
+        before, prev = prev, p
         rank += 1
         if rank == nrows:
             break
-    return rank, abs(prev)
+    return rank, abs(prev), abs(before), gcd(*step)
 
 
 def _unit_pivots(entries: Sequence[Sequence[int]]) -> tuple[int, Sequence[Sequence[int]]]:
@@ -253,14 +262,18 @@ def _unit_pivots(entries: Sequence[Sequence[int]]) -> tuple[int, Sequence[Sequen
 
 def _dense_snf(entries: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
     """Phase 2 of smith_normal_form: invariant factors and rank of a
-    nonempty dense matrix, by elimination modulo a Bareiss minor.
+    nonempty dense matrix, by elimination modulo a gcd of minors.
 
-    The rank r and a nonzero r x r minor M come from Bareiss
-    elimination.  Every invariant factor divides d_1...d_r, the gcd of
-    the r x r minors, and so divides M.  Elimination then runs on
-    entries reduced mod M: this computes the invariants of the lattice
-    spanned by the columns and by M Z^rows, which are gcd(d_i, M) = d_i
-    for i <= r and M beyond.
+    Elimination on entries reduced mod M computes the invariants of the
+    lattice spanned by the columns and by M Z^rows: gcd(d_i, M) for
+    i <= r, the rank, and M beyond.  Bareiss elimination gives r and M,
+    a multiple of g_k = d_1...d_k, the gcd of the k x k minors:
+
+    - Square of full rank: M = gcd(P_{r-1}, P_r).  Both pivots are
+      multiples of g_{r-1}, so d_i = gcd(d_i, M) for i < r, and
+      d_r = P_r / (d_1...d_{r-1}) since P_r = |det| = g_r.
+    - Otherwise: M is the gcd of the r x r minors of the last pivot
+      step, a multiple of g_r, so d_i = gcd(d_i, M) for every i <= r.
 
     Unit pivots come first, as in phase 1 over Z.  An entry x with
     gcd(x, M) = 1 is a unit of Z/MZ: scaling its row by x^-1 mod M
@@ -270,7 +283,9 @@ def _dense_snf(entries: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
     Each pivot e gives gcd(e, M), and pivots still missing after the
     entries vanish mod M are M.
     """
-    rank, modulus = _bareiss_rank_minor([list(row) for row in entries])
+    rank, minor, previous, last = _bareiss_rank_minor([list(row) for row in entries])
+    square = rank == len(entries) == len(entries[0])
+    modulus = gcd(minor, previous) if square else last
     a = [[x % modulus for x in row] for row in entries]
     diagonal: list[int] = []
     while True:
@@ -345,9 +360,9 @@ def _dense_snf(entries: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
         diagonal.append(g)
         t += 1
     diagonal.extend([modulus] * (r - t))
+    if square:
+        diagonal[-1] = minor // prod(diagonal[:-1])
     return tuple(diagonal), rank
-
-
 
 
 def smith_normal_form(matrix: IntMatrix) -> SNFResult:
@@ -360,8 +375,8 @@ def smith_normal_form(matrix: IntMatrix) -> SNFResult:
     Two phases.  The first eliminates unit pivots on sparse rows over
     Z, each leaving an invariant factor 1; it pivots only in columns
     whose entries are all +-1, so every row multiplier is +-1.  The
-    second diagonalizes the residual densely, modulo a nonzero minor
-    found by Bareiss elimination, and takes unit pivots mod that minor
+    second diagonalizes the residual densely, modulo a gcd of minors
+    found by Bareiss elimination, and takes unit pivots mod that gcd
     before min-pivot elimination.  The pivot operations are unimodular,
     so the input is equivalent to an identity block beside the
     residual, and the result is (1,) * pivots followed by the residual's

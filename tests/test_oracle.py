@@ -173,29 +173,60 @@ class TestSmithNormalForm:
 
     def test_unimodular_input_has_minor_one(self):
         # No column is all +-1, so the whole matrix reaches the dense
-        # phase, where the minor is 1 and every entry vanishes mod it.
+        # phase, where the modulus is 1 and every entry vanishes mod it.
         entries = [[2, 3, 4], [3, 5, 7], [5, 9, 14]]
-        assert oracle._bareiss_rank_minor([list(r) for r in entries]) == (3, 1)
+        assert oracle._bareiss_rank_minor([list(r) for r in entries]) == (3, 1, 1, 1)
         assert smith_normal_form(IntMatrix.from_rows(entries)) == ((1, 1, 1), 3)
 
     def test_no_unit_mod_the_minor(self):
         # 2A for the unimodular A above: every entry is even, as is the
-        # minor, so no pivot is a unit and min-pivot elimination does
-        # all the work.
+        # modulus gcd(8, 4), so no pivot is a unit and min-pivot
+        # elimination does all the work.
         entries = [[2 * x for x in row] for row in ([2, 3, 4], [3, 5, 7], [5, 9, 14])]
-        assert oracle._bareiss_rank_minor([list(r) for r in entries]) == (3, 8)
+        assert oracle._bareiss_rank_minor([list(r) for r in entries]) == (3, 8, 4, 8)
         assert smith_normal_form(IntMatrix.from_rows(entries)) == ((2, 2, 2), 3)
 
     def test_rank_deficient_non_square(self):
-        # Row 3 is row 1 plus row 2.  The minor is 24: 11 is a unit mod
-        # 24, and the 6 is left to min-pivot elimination.
+        # Row 3 is row 1 plus row 2.  The minor is 24, and the last
+        # pivot step's gcd 12 is the modulus: 11 is a unit mod 12, and
+        # the 6 is left to min-pivot elimination.
         entries = [[4, 2, 6, 8], [6, 9, 3, 15], [10, 11, 9, 23]]
-        assert oracle._bareiss_rank_minor([list(r) for r in entries]) == (2, 24)
+        assert oracle._bareiss_rank_minor([list(r) for r in entries]) == (2, 24, 4, 12)
         matrix = IntMatrix.from_rows(entries)
         assert smith_normal_form(matrix) == ((1, 6), 2)
         assert_determinantal_divisors(matrix)
         transposed = IntMatrix.from_rows(zip(*entries))
         assert smith_normal_form(transposed) == ((1, 6), 2)
+
+    def test_square_with_coprime_last_pivots(self):
+        # P_2 = 2 * 11 - 3 * 7 = 1, so the modulus gcd(P_2, P_3) is 1:
+        # every entry vanishes, and the last factor is |det| = 78.
+        entries = [[2, 3, 5], [7, 11, 13], [17, 19, 23]]
+        assert oracle._bareiss_rank_minor([list(r) for r in entries]) == (3, 78, 1, 78)
+        matrix = IntMatrix.from_rows(entries)
+        assert smith_normal_form(matrix) == ((1, 1, 78), 3)
+        assert_determinantal_divisors(matrix)
+
+    def test_square_with_repeated_factor(self):
+        # U diag(2, 2, 12) V: d_2 = 2 > 1, and the modulus gcd(80, 48)
+        # is 16, so the last factor 12 is |det| / 4, not gcd(12, 16).
+        entries = [[-40, 8, -2], [20, -2, 0], [-28, 8, -2]]
+        assert oracle._bareiss_rank_minor([list(r) for r in entries]) == (3, 48, 80, 48)
+        matrix = IntMatrix.from_rows(entries)
+        assert smith_normal_form(matrix) == ((2, 2, 12), 3)
+        assert_determinantal_divisors(matrix)
+
+    def test_non_square_modulo_the_last_pivot_gcd(self):
+        # U [diag(1, 2, 6) | 0] V: the last pivot step's gcd 12 is below
+        # P_3 = 36 and is the modulus.  The square rule would take
+        # gcd(36, 6) and give 36 / 2 = 18 as the last factor.
+        entries = [[0, 0, 6, -4], [1, -6, -2, -2], [-3, 24, 6, 8]]
+        assert oracle._bareiss_rank_minor([list(r) for r in entries]) == (3, 36, 6, 12)
+        matrix = IntMatrix.from_rows(entries)
+        assert smith_normal_form(matrix) == ((1, 2, 6), 3)
+        assert_determinantal_divisors(matrix)
+        transposed = IntMatrix.from_rows(zip(*entries))
+        assert smith_normal_form(transposed) == ((1, 2, 6), 3)
 
     @settings(max_examples=200)
     @given(
@@ -233,6 +264,17 @@ class TestSmithNormalForm:
             list(map(list, zip(*transposed))), cols=matrix.cols
         )
         assert smith_normal_form(shuffled) == smith_normal_form(matrix)
+
+
+class TestFromRows:
+    def test_entries_coerced_to_exact_int(self):
+        matrix = IntMatrix.from_rows([[True, "12"], (False, -3)])
+        assert matrix.entries == ((1, 12), (0, -3))
+        assert all(type(x) is int for row in matrix.entries for x in row)
+
+    def test_rows_from_generators(self):
+        matrix = IntMatrix.from_rows((x * y for x in range(3)) for y in range(2))
+        assert matrix == IntMatrix(2, 3, ((0, 0, 0), (0, 1, 2)))
 
 
 class TestProduct:

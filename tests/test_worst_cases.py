@@ -3,9 +3,9 @@
 Large primes must not turn an exact answer into a search, a dense
 integer matrix must not blow up in Smith normal form, and a sparse one
 must not cost as much as a dense one of its size.  The budgets are
-loose (0.5 s for the number theory, 5 s for the 80x80 and the sparse
-1000x1000 matrices, 3 s for the Klein bottle, 1 s for a complex with
-3000x3000 zero boundaries) because they only have to separate
+loose (0.5 s for the number theory, 5 s for the dense 40x40 and 80x80
+and the sparse 1000x1000 matrices, 3 s for the Klein bottle, 1 s for
+a complex with 3000x3000 zero boundaries) because they only have to separate
 polynomial work from a search, or sparse from dense work: trial
 division up to the square root of a prime near 10^17 alone takes
 seconds, and near 10^18 minutes, dense elimination of the sparse
@@ -90,6 +90,36 @@ def test_dense_80x80_within_budget():
     assert snf_rank == rank == 80
     assert all(b % a == 0 for a, b in zip(diagonal, diagonal[1:]))
     assert math.prod(diagonal) == abs(det)
+    assert seconds < DENSE_SNF_BUDGET_S
+
+
+def test_dense_40x40_with_repeated_factors_within_budget():
+    # U diag V for seeded unimodular U and V, each a row-shuffled
+    # product of unit lower and upper triangular matrices with entries
+    # in [-1, 1].  The diagonal repeats factors up to d_39 = 36, so the
+    # modulus is not 1 and min-pivot elimination runs at this size.
+    rng = random.Random(40)
+    factors = [1] * 30 + [2] * 4 + [6] * 3 + [36] * 3
+    diag = rng.sample(factors, 40)
+
+    def unimodular():
+        lower = [[1 if i == j else rng.randint(-1, 1) if j < i else 0 for j in range(40)]
+                 for i in range(40)]
+        upper = [[1 if i == j else rng.randint(-1, 1) if j > i else 0 for j in range(40)]
+                 for i in range(40)]
+        product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*upper)]
+                   for row in lower]
+        return rng.sample(product, 40)
+
+    left, right = unimodular(), unimodular()
+    rows = [[sum(left[i][k] * diag[k] * right[k][j] for k in range(40)) for j in range(40)]
+            for i in range(40)]
+    rank, det = bareiss_rank_det(rows)
+    (diagonal, snf_rank), seconds = timed(smith_normal_form, IntMatrix.from_rows(rows))
+    assert snf_rank == rank == 40
+    assert all(b % a == 0 for a, b in zip(diagonal, diagonal[1:]))
+    assert math.prod(diagonal) == abs(det)
+    assert diagonal == tuple(factors)
     assert seconds < DENSE_SNF_BUDGET_S
 
 
