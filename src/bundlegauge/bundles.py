@@ -18,7 +18,7 @@ from collections import namedtuple
 from .abelian import AbGroup, Z, make_group
 from .errors import OutOfScopeError
 from .manifolds import ManifoldSpec
-from .tables import LieGroupId, PiTable, default_table
+from .tables import LieGroupId, pi6
 
 __all__ = [
     "BundleClass",
@@ -46,25 +46,22 @@ class BundleClass(namedtuple("BundleClass", "base group k modulus")):
         return f"bundle k={self.k} in Z_{self.modulus} over {self.base}"
 
 
-def require_pi6_zero(g: LieGroupId, table: PiTable) -> None:
+def require_pi6_zero(g: LieGroupId) -> None:
     """Refuse G with pi_6(G) != 0: the results for m != 1 assume it."""
-    pi6 = table.pi6(g)
-    if not pi6.is_trivial:
-        raise OutOfScopeError(f"out of theorem scope: pi_6({g}) = {pi6} != 0")
+    group = pi6(g)
+    if not group.is_trivial:
+        raise OutOfScopeError(f"out of theorem scope: pi_6({g}) = {group} != 0")
 
 
-def classify_bundles(
-    g: LieGroupId, spec: ManifoldSpec, table: PiTable | None = None
-) -> AbGroup:
+def classify_bundles(g: LieGroupId, spec: ManifoldSpec) -> AbGroup:
     """The classification set as an abelian group of indices.
 
     Z for m = 0, Z_m for m >= 2 (both require pi_6(G) = 0), and
     pi_6(G) itself for m = 1.
     """
-    table = table or default_table()
     if spec.m == 1:
-        return table.pi6(g)
-    require_pi6_zero(g, table)
+        return pi6(g)
+    require_pi6_zero(g)
     if spec.m == 0:
         return Z
     return make_group(0, [spec.m])
@@ -80,14 +77,9 @@ def projection_induced_map_kind(m: int) -> str:
     return "not-covered"
 
 
-def reduce_class(
-    g: LieGroupId,
-    spec: ManifoldSpec,
-    k_raw: int,
-    table: PiTable | None = None,
-) -> BundleClass:
+def reduce_class(g: LieGroupId, spec: ManifoldSpec, k_raw: int) -> BundleClass:
     """Store the canonical residue of a raw classifying integer."""
-    index_set = classify_bundles(g, spec, table)
+    index_set = classify_bundles(g, spec)
     if spec.m == 0:
         return BundleClass(spec, g, k_raw, 0)
     if spec.m >= 2:

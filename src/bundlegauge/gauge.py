@@ -62,7 +62,7 @@ from .spaces import (
     product,
     x_fiber,
 )
-from .tables import LieGroupId, PiTable, default_table, pi6_moore, pi6_moore_source
+from .tables import LieGroupId, PiTable, default_table, pi6, pi6_moore, pi6_moore_source
 
 __all__ = [
     "DecompositionResult",
@@ -149,12 +149,9 @@ def _map_star(g: LieGroupId, t: int) -> tuple[tuple[SpaceExpr, ...], tuple[str, 
     return (map_star_y(t, g),), (caveat,)
 
 
-def decompose_unpointed_m0(
-    g: LieGroupId, l: int, k: int, table: PiTable | None = None
-) -> DecompositionResult:
+def decompose_unpointed_m0(g: LieGroupId, l: int, k: int) -> DecompositionResult:
     """G^k(M(l,0)) = G^k(S^4) x Map_*(Y_t, G), expanded when t = 0."""
-    table = table or default_table()
-    require_pi6_zero(g, table)
+    require_pi6_zero(g)
     factors, caveats = _map_star(g, twist_class(l))
     return DecompositionResult(
         product(gauge_s4(g, k), *factors), (_CAVEAT_GAUGE_S4, *caveats),
@@ -162,12 +159,9 @@ def decompose_unpointed_m0(
     )
 
 
-def decompose_pointed_m0(
-    g: LieGroupId, l: int, k: int, table: PiTable | None = None
-) -> DecompositionResult:
+def decompose_pointed_m0(g: LieGroupId, l: int, k: int) -> DecompositionResult:
     """G*^k(M(l,0)) = O^4[G] x Map_*(Y_t, G); the answer is k-independent."""
-    table = table or default_table()
-    require_pi6_zero(g, table)
+    require_pi6_zero(g)
     factors, caveats = _map_star(g, twist_class(l))
     return DecompositionResult(
         product(loop(4, lie(g)), *factors), caveats, TAG_POINTED_M0,
@@ -183,11 +177,9 @@ def decompose_plocal(
     p: int,
     pointed: bool = False,
     looped: bool | None = None,
-    table: PiTable | None = None,
 ) -> DecompositionResult:
     """p-local decompositions for bases with torsion, p >= 5."""
-    table = table or default_table()
-    require_pi6_zero(g, table)
+    require_pi6_zero(g)
     _check_prime_ge5(p)
     if m < 2:
         raise OutOfScopeError("p-local decompositions apply to m >= 2 only")
@@ -254,13 +246,12 @@ def decompose_plocal(
     )
 
 
-def s7_decompose_trivial(g: LieGroupId, table: PiTable | None = None) -> SpaceExpr:
+def s7_decompose_trivial(g: LieGroupId) -> SpaceExpr:
     """O^7[G] x G for the unique bundle over S^7 when pi_6(G) = 0."""
-    table = table or default_table()
-    pi6 = table.pi6(g)
-    if not pi6.is_trivial:
+    group = pi6(g)
+    if not group.is_trivial:
         raise OutOfScopeError(
-            f"the bundle over S^7 is not unique: pi_6({g}) = {pi6}"
+            f"the bundle over S^7 is not unique: pi_6({g}) = {group}"
         )
     return product(loop(7, lie(g)), lie(g))
 
@@ -336,18 +327,15 @@ def _coefficient_group(
     )
 
 
-def pi_with_coefficients(
-    g: LieGroupId, i: int, p: int, r: int, table: PiTable | None = None
-) -> CoefficientGroup:
+def pi_with_coefficients(g: LieGroupId, i: int, p: int, r: int) -> CoefficientGroup:
     """pi_i(G; Z_{p^r}) for p >= 5, via tensor and Tor with Z_{p^r}."""
-    table = table or default_table()
     _check_prime_ge5(p)
     if r < 0:
         raise ValueError("r must be nonnegative")
-    return _coefficient_group(g, i, p**r, table)
+    return _coefficient_group(g, i, p**r, default_table())
 
 
-def pi_of_expr(expr: SpaceExpr, n: int, table: PiTable | None = None) -> PiValue:
+def pi_of_expr(expr: SpaceExpr, n: int) -> PiValue:
     """pi_n of a product-shaped decomposition expression.
 
     Loop atoms over spheres and Lie groups resolve through the tables;
@@ -356,15 +344,18 @@ def pi_of_expr(expr: SpaceExpr, n: int, table: PiTable | None = None) -> PiValue
     contributes the symbolic summand pi_n(<its text>), since pi_n is not
     additive over wedges.
     """
-    table = table or default_table()
     if n < 0:
         raise ValueError("homotopy degree must be nonnegative")
+    return _pi(expr, n, default_table())
+
+
+def _pi(expr: SpaceExpr, n: int, table: PiTable) -> PiValue:
     match expr.kind:
         case "point":
             return PiValue(TRIVIAL)
         case "localized":
             p, inner_expr = expr.args
-            inner = pi_of_expr(inner_expr, n, table)
+            inner = _pi(inner_expr, n, table)
             return PiValue(
                 localize(inner.group, p),
                 tuple(f"({s})_({p})" for s in inner.symbolic),
@@ -372,7 +363,7 @@ def pi_of_expr(expr: SpaceExpr, n: int, table: PiTable | None = None) -> PiValue
                 inner.sources,
             )
         case "product":
-            return _merge([pi_of_expr(f, n, table) for f in expr.args[0]])
+            return _merge([_pi(f, n, table) for f in expr.args[0]])
         case "lie-group":
             rec = table.lie_record(expr.args[0], n)
             return PiValue(rec.group, sources=(rec.source,))
@@ -383,7 +374,7 @@ def pi_of_expr(expr: SpaceExpr, n: int, table: PiTable | None = None) -> PiValue
             degree, component0, inner_expr = expr.args
             if component0 and n == 0:
                 return PiValue(TRIVIAL)
-            return pi_of_expr(inner_expr, n + degree, table)
+            return _pi(inner_expr, n + degree, table)
         case "mod-loop":
             degree, component0, g, modulus = expr.args
             if component0 and n == 0:
@@ -398,28 +389,23 @@ def pi_of_expr(expr: SpaceExpr, n: int, table: PiTable | None = None) -> PiValue
             return PiValue(cg.group, notes=notes, sources=cg.sources)
         case "map-star-y" if expr.args[0] == 0:
             factors, _ = _map_star(expr.args[1], 0)
-            return _merge([pi_of_expr(f, n, table) for f in factors])
+            return _merge([_pi(f, n, table) for f in factors])
         case "moore" if expr.args[0] == 4 and n == 6:
             return PiValue(pi6_moore(expr.args[1]), sources=(pi6_moore_source(),))
     return PiValue(TRIVIAL, (f"pi_{n}({expr.render()})",))
 
 
-def pi_pointed_gauge_m0(
-    g: LieGroupId, l: int, k: int, n: int, table: PiTable | None = None
-) -> PiValue:
+def pi_pointed_gauge_m0(g: LieGroupId, l: int, k: int, n: int) -> PiValue:
     """pi_n of the pointed gauge group over M(l,0), any k.
 
     Always contributes pi_{n+4}(G); the mapping-space summand expands to
     pi_{n+3}(G) + pi_{n+7}(G) when the twist class vanishes and stays
     symbolic otherwise.
     """
-    table = table or default_table()
-    return pi_of_expr(decompose_pointed_m0(g, l, k, table).expr, n, table)
+    return pi_of_expr(decompose_pointed_m0(g, l, k).expr, n)
 
 
-def pi0_unpointed_gauge_m0(
-    g: LieGroupId, l: int, table: PiTable | None = None
-) -> AbGroup:
+def pi0_unpointed_gauge_m0(g: LieGroupId, l: int) -> AbGroup:
     """pi_0 of the unpointed gauge group over M(l,0) for l = 0 mod 12.
 
     G is connected and simply connected, so evaluation at the basepoint
@@ -428,18 +414,15 @@ def pi0_unpointed_gauge_m0(
     published component counts per family are the acceptance data of
     the selftest grid, not an input here.
     """
-    table = table or default_table()
-    require_pi6_zero(g, table)
+    require_pi6_zero(g)
     if l % 12 != 0:
         raise OutOfScopeError(
             "the component table applies to l = 0 (mod 12) only"
         )
-    return pi_pointed_gauge_m0(g, l, 0, 0, table).group
+    return pi_pointed_gauge_m0(g, l, 0, 0).group
 
 
-def pi0_unpointed_gauge_plocal(
-    g: LieGroupId, m: int, k: int, p: int, table: PiTable | None = None
-) -> AbGroup:
+def pi0_unpointed_gauge_plocal(g: LieGroupId, m: int, k: int, p: int) -> AbGroup:
     """pi_0 of the p-localized unpointed gauge group, m >= 2, k = 0.
 
     For k != 0 the component count is an open problem and the lookup
@@ -449,7 +432,7 @@ def pi0_unpointed_gauge_plocal(
         raise UnknownValueError(
             "pi_0 of the gauge group is not computed for k != 0 when m >= 2"
         )
-    return pi_pointed_gauge_plocal(g, m, 0, 0, p, table=table).group
+    return pi_pointed_gauge_plocal(g, m, 0, 0, p).group
 
 
 def pi_pointed_gauge_plocal(
@@ -459,7 +442,6 @@ def pi_pointed_gauge_plocal(
     n: int,
     p: int,
     looped: bool | None = None,
-    table: PiTable | None = None,
 ) -> PiValue:
     """pi_n of the p-local pointed gauge group (k = 0), or of its loop
     space (any k), for m >= 2 and p >= 5, read off decompose_plocal.
@@ -469,11 +451,8 @@ def pi_pointed_gauge_plocal(
 
     The decomposition does not depend on l, so any l will do.
     """
-    table = table or default_table()
-    decomposition = decompose_plocal(
-        g, 0, m, k, p, pointed=True, looped=looped, table=table
-    )
-    return pi_of_expr(decomposition.expr, n, table)
+    decomposition = decompose_plocal(g, 0, m, k, p, pointed=True, looped=looped)
+    return pi_of_expr(decomposition.expr, n)
 
 
 # Homotopy equivalence decisions for gauge groups over S^7.
@@ -503,7 +482,6 @@ def s7_gauge_equivalent(
     k: int,
     k_prime: int,
     locality: str | int = "integral",
-    table: PiTable | None = None,
 ) -> S7Decision:
     """Compare gauge groups over S^7 of the classes k and k'.
 
@@ -512,16 +490,15 @@ def s7_gauge_equivalent(
     Localizations the criteria do not reach return out-of-scope.  Groups
     with pi_6 = 0 carry a single bundle and are trivially equivalent.
     """
-    table = table or default_table()
     locality = _parse_locality(locality)
-    order = table.pi6(g).order()
+    order = pi6(g).order()
     k %= max(order, 1)
     k_prime %= max(order, 1)
     if order == 1:
         return S7Decision(
             "equivalent",
             "pi_6(G) = 0, so there is a single bundle class over S^7",
-            s7_decompose_trivial(g, table),
+            s7_decompose_trivial(g),
         )
     a, b = gcd(3, k), gcd(3, k_prime)
     same = a == b
@@ -610,9 +587,8 @@ class GaugeQuery(
     __slots__ = ()
 
 
-def run_query(query: GaugeQuery, table: PiTable | None = None) -> DecompositionResult:
+def run_query(query: GaugeQuery) -> DecompositionResult:
     """Dispatch a GaugeQuery to the decomposition that covers it."""
-    table = table or default_table()
     base = query.bundle.base
     g = query.bundle.group
     k = query.bundle.k
@@ -623,10 +599,10 @@ def run_query(query: GaugeQuery, table: PiTable | None = None) -> DecompositionR
                 "drop the localization"
             )
         if query.pointed:
-            return decompose_pointed_m0(g, base.l, k, table)
-        return decompose_unpointed_m0(g, base.l, k, table)
+            return decompose_pointed_m0(g, base.l, k)
+        return decompose_unpointed_m0(g, base.l, k)
     if base.m == 1:
-        expr = s7_decompose_trivial(g, table)
+        expr = s7_decompose_trivial(g)
         return DecompositionResult(expr, (), TAG_S7_TRIVIAL, "G^0(S^7)")
     if not isinstance(query.locality, int):
         raise OutOfScopeError(
@@ -640,5 +616,4 @@ def run_query(query: GaugeQuery, table: PiTable | None = None) -> DecompositionR
         query.locality,
         pointed=query.pointed,
         looped=bool(query.looped) if query.pointed else None,
-        table=table,
     )

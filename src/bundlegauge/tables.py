@@ -202,12 +202,6 @@ class PiTable:
     def sphere(self, n: int, i: int) -> AbGroup:
         return self.sphere_record(n, i).group
 
-    def lie(self, g: LieGroupId, i: int) -> AbGroup:
-        return self.lie_record(g, i).group
-
-    def pi6(self, g: LieGroupId) -> AbGroup:
-        return self.lie(g, 6)
-
 
 @lru_cache(maxsize=None)
 def _cached_table(override: str | None) -> PiTable:
@@ -225,23 +219,23 @@ def default_table() -> PiTable:
     return _cached_table(os.environ.get(ENV_TABLE_PATH) or None)
 
 
-def pi_sphere(n: int, i: int, table: PiTable | None = None) -> AbGroup:
+def pi_sphere(n: int, i: int) -> AbGroup:
     """pi_i(S^n) from the table.  Unknown entries raise, never guess."""
-    return (table or default_table()).sphere(n, i)
+    return default_table().sphere(n, i)
 
 
-def pi_lie(g: LieGroupId, i: int, table: PiTable | None = None) -> AbGroup:
+def pi_lie(g: LieGroupId, i: int) -> AbGroup:
     """pi_i(G) from the table, with aliases resolved first."""
-    return (table or default_table()).lie(g, i)
+    return default_table().lie_record(g, i).group
 
 
-def pi6(g: LieGroupId, table: PiTable | None = None) -> AbGroup:
+def pi6(g: LieGroupId) -> AbGroup:
     """pi_6 of a simply connected simple compact Lie group.
 
     Nonzero only for SU(2) = Sp(1) (Z_12), SU(3) (Z_6) and G2 (Z_3);
     this predicate gates every bundle classification below.
     """
-    return (table or default_table()).pi6(g)
+    return default_table().lie_record(g, 6).group
 
 
 def pi6_moore(m: int) -> AbGroup:
