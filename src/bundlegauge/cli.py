@@ -20,6 +20,7 @@ from .abelian import AbGroup
 from .bundles import classify_bundles, projection_induced_map_kind, reduce_class
 from .errors import OutOfScopeError, UnknownValueError
 from .gauge import (
+    TAG_POINTED_M0,
     GaugeQuery,
     decompose_plocal,
     pi0_unpointed_gauge_m0,
@@ -189,6 +190,10 @@ def _cmd_manifold_suspend(args) -> QueryResult:
 def _cmd_gauge_decompose(args) -> QueryResult:
     g = LieGroupId.parse(args.group)
     spec = normalize(args.l, args.m)
+    if args.looped and spec.m < 2:
+        raise UsageError("--looped needs m >= 2 and --p")
+    if args.pointed and spec.m == 1:
+        raise UsageError("--pointed does not apply at m = 1, where the base is S^7")
     locality: str | int = "integral" if args.p is None else args.p
     bundle = reduce_class(g, spec, args.k)
     query = GaugeQuery(bundle, pointed=args.pointed,
@@ -212,6 +217,10 @@ def _cmd_gauge_decompose(args) -> QueryResult:
 def _cmd_gauge_pi(args) -> QueryResult:
     g = LieGroupId.parse(args.group)
     spec = normalize(args.l, args.m)
+    if args.looped and args.unpointed:
+        raise UsageError("--looped does not combine with --unpointed")
+    if args.looped and spec.m < 2:
+        raise UsageError("--looped needs m >= 2 and --p")
     if spec.m == 0:
         if args.unpointed:
             if args.n != 0:
@@ -231,7 +240,7 @@ def _cmd_gauge_pi(args) -> QueryResult:
             result,
             text=f"pi_{args.n}(G*^{args.k}(M({spec.l},0))) = {value}",
             caveats=value.notes,
-            theorem="pointed splitting over a torsion-free base",
+            theorem=TAG_POINTED_M0,
             citations=value.sources,
         )
     if spec.m == 1:

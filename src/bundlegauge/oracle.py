@@ -484,13 +484,20 @@ def homology_of(complex: ChainComplex) -> tuple[AbGroup, ...]:
     return tuple(results)
 
 
+# Missing boundaries are built as dense zero matrices, so a short
+# cells: line could otherwise imply far more work than its file holds.
+MAX_BOUNDARY_ENTRIES = 2 * 10**7
+
+
 def parse_complex(text: str) -> ChainComplex:
     """Read a chain complex from the small text format.
 
     Format: a ``cells:`` line with the cell counts per degree, then one
     ``boundary N:`` block per nonzero boundary, holding cells[N-1] rows
     of cells[N] integers.  Lines starting with ``#`` are comments.  A
-    second ``cells:`` line or a second block for the same N is refused.
+    second ``cells:`` line or a second block for the same N is refused,
+    and so are cell counts whose boundaries hold more than
+    MAX_BOUNDARY_ENTRIES entries in all.
 
     >>> cx = parse_complex('''
     ... cells: 1 0 0 1 1 0 0 1
@@ -530,6 +537,12 @@ def parse_complex(text: str) -> ChainComplex:
                 raise ValueError("cells: line has no counts")
             if any(c < 0 for c in cells):
                 raise ValueError("cell counts must be nonnegative")
+            entries = sum(a * b for a, b in zip(cells, cells[1:]))
+            if entries > MAX_BOUNDARY_ENTRIES:
+                raise ValueError(
+                    f"the cell counts imply {entries} boundary entries, "
+                    f"over the limit of {MAX_BOUNDARY_ENTRIES}"
+                )
             continue
         if line.startswith("boundary"):
             close_pending()

@@ -136,6 +136,23 @@ class TestGaugeCommands:
         )
         assert result.exit_code == EXIT_OUT_OF_SCOPE
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            ("gauge decompose --group SU4 --l 0 --m 0 --looped", "--looped"),
+            ("gauge decompose --group SU4 --l 0 --m 1 --pointed", "--pointed"),
+            ("gauge decompose --group SU4 --l 0 --m 1 --looped", "--looped"),
+            ("gauge pi --group SU4 --l 0 --m 0 --n 1 --looped", "--looped"),
+            ("gauge pi --group SU4 --l 0 --m 0 --unpointed --looped", "--looped"),
+            ("gauge pi --group SU4 --l 0 --m 25 --p 5 --unpointed --looped", "--looped"),
+        ],
+    )
+    def test_flag_that_does_not_apply_is_a_usage_error(self, argv, flag):
+        result = run(["--json", *argv.split()])
+        assert result.exit_code == EXIT_USAGE
+        assert result.payload["status"] == "usage-error"
+        assert flag in result.payload["error"]
+
     def test_equiv_su5(self):
         result = ok(["gauge", "equiv-su5", "--k", "1", "--kp", "121"])
         assert result.payload["result"]["verdict"] == "equivalent-locally"

@@ -215,6 +215,26 @@ class TestDataFile:
         assert default_table() is packaged
         assert len(packaged.records) > 100
 
+    def test_override_reaches_the_operations(self, tmp_path, monkeypatch):
+        from bundlegauge.bundles import classify_bundles
+        from bundlegauge.gauge import pi_pointed_gauge_m0, s7_gauge_equivalent
+        from bundlegauge.manifolds import normalize
+
+        alt = tmp_path / "su4.txt"
+        alt.write_text("SU4 | 6 | 0 | t\n", encoding="utf-8")
+        monkeypatch.setenv("BUNDLEGAUGE_TABLES", str(alt))
+        tables_module._cached_table.cache_clear()
+        try:
+            su4 = LieGroupId("SU", 4)
+            assert classify_bundles(su4, normalize(0, 5)) == make_group(0, [5])
+            with pytest.raises(UnknownValueError):  # no pi_3 or pi_4 row
+                pi_pointed_gauge_m0(su4, 0, 0, 0)
+            with pytest.raises(UnknownValueError, match="SU\\(2\\)"):
+                s7_gauge_equivalent(LieGroupId("SU", 2), 0, 1)
+        finally:
+            monkeypatch.delenv("BUNDLEGAUGE_TABLES")
+            tables_module._cached_table.cache_clear()
+
     def test_default_table_is_one_object(self):
         assert default_table() is default_table()
 

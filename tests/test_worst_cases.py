@@ -226,3 +226,14 @@ def test_zero_boundaries_within_budget(tmp_path):
     free = " + ".join(["Z"] * 3000)
     assert result.payload["result"]["degrees"] == ["Z", free, free]
     assert seconds < ZERO_BOUNDARY_BUDGET_S
+
+
+def test_zero_boundaries_beyond_the_limit_are_refused(tmp_path):
+    # 2*10^10 implied entries: building them would take minutes.
+    path = tmp_path / "huge.txt"
+    path.write_text("cells: 100000 100000 100000\n", encoding="utf-8")
+    argv = ["--json", "oracle", "homology", "--complex", str(path)]
+    result, seconds = timed(run, argv)
+    assert result.exit_code == EXIT_USAGE
+    assert "limit of 20000000" in result.payload["error"]
+    assert seconds < 0.1
