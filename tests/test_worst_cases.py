@@ -228,8 +228,14 @@ def test_zero_boundaries_within_budget(tmp_path):
     assert seconds < ZERO_BOUNDARY_BUDGET_S
 
 
-def test_zero_boundaries_beyond_the_limit_are_refused(tmp_path):
-    # 2*10^10 implied entries: building them would take minutes.
+def test_zero_boundaries_beyond_the_limit_are_refused(tmp_path, monkeypatch):
+    # 2*10^10 implied entries, more than memory holds.  Building a zero
+    # boundary fails the test at once, so a refusal that comes too late
+    # cannot exhaust memory.
+    def no_zero_matrix(cls, rows, cols):
+        raise AssertionError(f"built a {rows}x{cols} zero boundary")
+
+    monkeypatch.setattr(IntMatrix, "zero", classmethod(no_zero_matrix))
     path = tmp_path / "huge.txt"
     path.write_text("cells: 100000 100000 100000\n", encoding="utf-8")
     argv = ["--json", "oracle", "homology", "--complex", str(path)]
