@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import namedtuple
 from functools import lru_cache
@@ -506,10 +507,15 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     emit_json = "--json" in argv
     result = run(argv)
-    if emit_json:
-        print(json.dumps(result.payload, indent=2, sort_keys=True))
-    else:
-        print(result.text)
+    text = json.dumps(result.payload, indent=2, sort_keys=True) if emit_json else result.text
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader left early, as `| head` does.  Point stdout at the
+        # null device so that the flush at exit raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return result.exit_code
 
 

@@ -589,6 +589,11 @@ class GaugeQuery(
 
 def run_query(query: GaugeQuery) -> DecompositionResult:
     """Dispatch a GaugeQuery to the decomposition that covers it."""
+    if query.looped and not query.pointed:
+        raise ValueError(
+            "looped applies to pointed queries only; "
+            "the unpointed splitting chooses its own looping"
+        )
     base = query.bundle.base
     g = query.bundle.group
     k = query.bundle.k

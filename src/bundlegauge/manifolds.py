@@ -93,9 +93,9 @@ class EquivalenceDecision(namedtuple("EquivalenceDecision", "equivalent reason")
         return self.equivalent
 
 
-def _square_roots_of_unity(modulus: int) -> list[int]:
-    # modulus divides 12, so exhaustive enumeration is exact.
-    return [a for a in range(modulus) if (a * a) % modulus == 1 % modulus]
+# The a with a^2 = 1 (mod g) for each g = gcd(m, 12), that is, each divisor of 12.
+_ROOTS_OF_UNITY = {g: tuple(a for a in range(g) if (a * a - 1) % g == 0)
+                   for g in (1, 2, 3, 4, 6, 12)}
 
 
 def is_homotopy_equivalent(a: ManifoldSpec, b: ManifoldSpec) -> EquivalenceDecision:
@@ -115,7 +115,7 @@ def is_homotopy_equivalent(a: ManifoldSpec, b: ManifoldSpec) -> EquivalenceDecis
             f"for l={a.l}, l'={b.l} (James-Whitehead)",
         )
     g = gcd(a.m, 12)
-    for alpha in _square_roots_of_unity(g):
+    for alpha in _ROOTS_OF_UNITY[g]:
         if (b.l - alpha * a.l) % g == 0:
             return EquivalenceDecision(
                 True,

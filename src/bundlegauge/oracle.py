@@ -417,9 +417,9 @@ class ChainComplex(namedtuple("ChainComplex", "cells boundaries")):
             if d.rows != cells[n - 1] or d.cols != cells[n]:
                 raise ValueError(f"boundary {n} has shape {d.rows}x{d.cols}, "
                                  f"expected {cells[n-1]}x{cells[n]}")
-        for n in range(2, len(cells)):
-            dd = boundaries[n - 2].mul(boundaries[n - 1])
-            if not dd.is_zero():
+        for n, (d_low, d_high) in enumerate(zip(boundaries, boundaries[1:]), start=2):
+            # A product with a zero factor is zero, so only nonzero pairs are multiplied.
+            if not (d_low.is_zero() or d_high.is_zero() or d_low.mul(d_high).is_zero()):
                 raise ValueError(f"boundary composition d_{n-1} o d_{n} is nonzero")
         return super().__new__(cls, cells, boundaries)
 
@@ -465,18 +465,11 @@ def homology_of(complex: ChainComplex) -> tuple[AbGroup, ...]:
     Ranks and torsion both come out of the Smith normal form of the
     boundary matrices.
     """
+    snfs = [smith_normal_form(complex.boundary(n)) for n in range(len(complex.cells) + 1)]
     results = []
-    snf_cache: dict[int, SNFResult] = {}
-
-    def snf(n: int) -> SNFResult:
-        if n not in snf_cache:
-            snf_cache[n] = smith_normal_form(complex.boundary(n))
-        return snf_cache[n]
-
     for n in range(len(complex.cells)):
-        kernel_rank = complex.cells[n] - snf(n).rank
-        image = snf(n + 1)
-        free = kernel_rank - image.rank
+        image = snfs[n + 1]
+        free = complex.cells[n] - snfs[n].rank - image.rank
         if free < 0:
             raise ValueError("inconsistent complex: image exceeds kernel")
         torsion = [d for d in image.diagonal if d > 1]

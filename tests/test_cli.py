@@ -153,6 +153,16 @@ class TestGaugeCommands:
         assert result.payload["status"] == "usage-error"
         assert flag in result.payload["error"]
 
+    def test_looped_decompose_needs_pointed(self):
+        argv = ["--json", "gauge", "decompose", "--group", "SU4", "--l", "0",
+                "--m", "10", "--k", "0", "--p", "7", "--looped"]
+        result = run(argv)
+        assert result.exit_code == EXIT_USAGE
+        assert result.payload["status"] == "usage-error"
+        assert "looped" in result.payload["error"]
+        assert "pointed" in result.payload["error"]
+        assert ok([*argv, "--pointed"]).payload["result"]["loops"] == 1
+
     def test_equiv_su5(self):
         result = ok(["gauge", "equiv-su5", "--k", "1", "--kp", "121"])
         assert result.payload["result"]["verdict"] == "equivalent-locally"
@@ -266,6 +276,25 @@ class TestHarness:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["classify", "--group", "Sp2", "--l", "3", "--m", "5"], 0),
+            (["classify", "--group", "SU2", "--l", "0", "--m", "0"], 2),
+        ],
+    )
+    def test_reader_that_leaves_early_gets_no_traceback(self, argv, code):
+        # Closing the pipe before the child writes breaks every write of
+        # its answer, whether stdout is buffered or not.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bundlegauge", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert err == b""  # no traceback, and no other complaint either
+        assert proc.returncode == code
 
 
 # Per subcommand: one answered argv, then refusals raised by argparse

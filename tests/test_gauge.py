@@ -389,6 +389,17 @@ class TestRunQuery:
         with pytest.raises(OutOfScopeError):
             run_query(GaugeQuery(bundle, locality=5))
 
+    @pytest.mark.parametrize("m,locality", [(0, "integral"), (10, 7)])
+    def test_looped_needs_pointed(self, m, locality):
+        bundle = reduce_class(SU4, normalize(0, m), 0)
+        with pytest.raises(ValueError, match="looped.*pointed"):
+            run_query(GaugeQuery(bundle, looped=1, locality=locality))
+
+    def test_pointed_and_looped_at_m0_is_the_pointed_splitting(self):
+        bundle = reduce_class(SU4, normalize(12, 0), 1)
+        looped = run_query(GaugeQuery(bundle, pointed=True, looped=1))
+        assert looped == run_query(GaugeQuery(bundle, pointed=True))
+
     def test_torsion_without_prime_rejected(self):
         bundle = reduce_class(SU4, normalize(0, 9), 0)
         with pytest.raises(OutOfScopeError):

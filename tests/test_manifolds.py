@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from bundlegauge.abelian import make_group
@@ -84,6 +86,25 @@ class TestHomotopyEquivalence:
         assert "James-Whitehead" in decision.reason
         decision = is_homotopy_equivalent(normalize(1, 12), normalize(5, 12))
         assert "Crowley-Escher" in decision.reason
+
+    def test_agrees_with_both_criteria_by_brute_force(self):
+        # Each criterion read off its statement, on the raw input pairs:
+        # James-Whitehead asks for l' = a*l (mod 12) with a = +-1, and
+        # Crowley-Escher for some a in [0, g) with a^2 = 1 (mod g) and
+        # l' = a*l (mod g), where g = gcd(m, 12).
+        universe = range(-30, 31)
+        for m in range(0, 61):
+            if m == 0:
+                g, roots = 12, (1, -1)
+            else:
+                g = gcd(m, 12)
+                roots = [a for a in range(g) if (a * a - 1) % g == 0]
+            specs = {l: normalize(l, m) for l in universe}
+            for l in universe:
+                for lp in universe:
+                    want = m == 1 or any((lp - a * l) % g == 0 for a in roots)
+                    got = is_homotopy_equivalent(specs[l], specs[lp]).equivalent
+                    assert got == want, (l, lp, m)
 
     def test_equivalence_implies_equal_homology(self):
         for m in range(0, 13):

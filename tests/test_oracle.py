@@ -311,6 +311,12 @@ class TestChainComplex:
         with pytest.raises(ValueError, match="composition"):
             ChainComplex((1, 2, 2), (d1, d2))
 
+    def test_composition_checked_beside_a_zero_boundary(self):
+        # d1 o d2 has a zero factor; d2 o d3 = (1) must still be refused.
+        one = IntMatrix.from_rows([[1]])
+        with pytest.raises(ValueError, match="composition d_2 o d_3"):
+            ChainComplex((1, 1, 1, 1), (IntMatrix.zero(1, 1), one, one))
+
     def test_sphere_complex(self):
         # Two cells in degrees 0 and n.
         complex_ = ChainComplex.build([1, 0, 0, 0, 1], {})
@@ -348,6 +354,21 @@ class TestManifoldComplexes:
         complex_ = complex_for_manifold(normalize(1, m))
         for n in range(2, 8):
             assert complex_.boundary(n - 1).mul(complex_.boundary(n)).is_zero()
+
+    @pytest.mark.parametrize("m", [0, 1, 6])
+    def test_zero_boundaries_are_not_multiplied(self, monkeypatch, m):
+        # Every composition in this complex has a zero factor, so the
+        # composition law needs no product at all.
+        real_mul = IntMatrix.mul
+
+        def mul(self, other):
+            if self.is_zero() or other.is_zero():
+                raise AssertionError("product with a zero factor")
+            return real_mul(self, other)
+
+        monkeypatch.setattr(IntMatrix, "mul", mul)
+        complex_ = complex_for_manifold(normalize(1, m))
+        assert complex_.boundary(4) == IntMatrix.from_rows([[m]])
 
     def test_agrees_with_closed_form_on_the_grid(self):
         for l in range(-24, 25):
