@@ -21,13 +21,10 @@ from .abelian import AbGroup
 from .bundles import classify_bundles, projection_induced_map_kind, reduce_class
 from .errors import OutOfScopeError, UnknownValueError
 from .gauge import (
-    TAG_POINTED_M0,
     GaugeQuery,
-    decompose_plocal,
     pi0_unpointed_gauge_m0,
     pi0_unpointed_gauge_plocal,
     pi_of_expr,
-    pi_pointed_gauge_m0,
     run_query,
     s7_gauge_equivalent,
     su5_gauge_equivalent_m0,
@@ -188,18 +185,22 @@ def _cmd_manifold_suspend(args) -> QueryResult:
     )
 
 
+def _gauge_query(args, spec, *, pointed: bool, looped: int | None) -> GaugeQuery:
+    """The query that both gauge commands answer, localized at --p if given."""
+    bundle = reduce_class(LieGroupId.parse(args.group), spec, args.k)
+    locality: str | int = "integral" if args.p is None else args.p
+    return GaugeQuery(bundle, pointed=pointed, looped=looped, locality=locality)
+
+
 def _cmd_gauge_decompose(args) -> QueryResult:
-    g = LieGroupId.parse(args.group)
     spec = normalize(args.l, args.m)
     if args.looped and spec.m < 2:
         raise UsageError("--looped needs m >= 2 and --p")
     if args.pointed and spec.m == 1:
         raise UsageError("--pointed does not apply at m = 1, where the base is S^7")
-    locality: str | int = "integral" if args.p is None else args.p
-    bundle = reduce_class(g, spec, args.k)
-    query = GaugeQuery(bundle, pointed=args.pointed,
-                       looped=1 if args.looped else 0, locality=locality)
-    decomposition = run_query(query)
+    decomposition = run_query(
+        _gauge_query(args, spec, pointed=args.pointed, looped=int(args.looped))
+    )
     loops = "O^1 " * decomposition.loops
     return _result(
         {
@@ -216,60 +217,44 @@ def _cmd_gauge_decompose(args) -> QueryResult:
 
 
 def _cmd_gauge_pi(args) -> QueryResult:
-    g = LieGroupId.parse(args.group)
     spec = normalize(args.l, args.m)
     if args.looped and args.unpointed:
         raise UsageError("--looped does not combine with --unpointed")
     if args.looped and spec.m < 2:
         raise UsageError("--looped needs m >= 2 and --p")
-    if spec.m == 0:
-        if args.unpointed:
-            if args.n != 0:
-                raise OutOfScopeError(
-                    "only pi_0 of the unpointed gauge group is tabulated"
-                )
-            group = pi0_unpointed_gauge_m0(g, spec.l)
-            return _result(
-                _group_json(group),
-                text=f"pi_0(G^k(M({spec.l},0))) = {group.render()}",
-                theorem="component table over a torsion-free base",
-            )
-        value = pi_pointed_gauge_m0(g, spec.l, args.k, args.n)
-        result = _group_json(value.group)
-        result["symbolic"] = list(value.symbolic)
-        return _result(
-            result,
-            text=f"pi_{args.n}(G*^{args.k}(M({spec.l},0))) = {value}",
-            caveats=value.notes,
-            theorem=TAG_POINTED_M0,
-            citations=value.sources,
-        )
     if spec.m == 1:
         raise OutOfScopeError(
             "homotopy groups over S^7 are not tabulated; use gauge equiv-s7"
         )
-    if args.p is None:
+    if spec.m >= 2 and args.p is None:
         raise UsageError("bases with torsion need a prime: pass --p")
+    if args.unpointed and args.n != 0:
+        raise OutOfScopeError("only pi_0 of the unpointed gauge group is computed")
+    query = _gauge_query(args, spec, pointed=not args.unpointed,
+                         looped=1 if args.looped else None)
+    at = "" if args.p is None else f" @ ({args.p})"
     if args.unpointed:
-        if args.n != 0:
-            raise OutOfScopeError(
-                "only pi_0 of the unpointed gauge group is computed for m >= 2"
+        if args.p is None:
+            group = pi0_unpointed_gauge_m0(query.bundle.group, spec.l)
+            theorem = "component table over a torsion-free base"
+        else:
+            group = pi0_unpointed_gauge_plocal(
+                query.bundle.group, spec.m, query.bundle.k, args.p
             )
-        group = pi0_unpointed_gauge_plocal(g, spec.m, args.k, args.p)
+            theorem = "p-local component table"
         return _result(
             _group_json(group),
-            text=f"pi_0(G^0(M({spec.l},{spec.m})) @ ({args.p})) = {group.render()}",
-            theorem="p-local component table",
+            text=f"pi_0(G^{query.bundle.k}({spec}){at}) = {group.render()}",
+            theorem=theorem,
         )
-    decomposition = decompose_plocal(
-        g, spec.l, spec.m, args.k, args.p, pointed=True,
-        looped=True if args.looped else None,
-    )
+    decomposition = run_query(query)
     value = pi_of_expr(decomposition.expr, args.n)
+    result = _group_json(value.group)
+    if args.p is None:
+        result["symbolic"] = list(value.symbolic)
     return _result(
-        _group_json(value.group),
-        text=f"pi_{args.n}({decomposition.describes} @ ({args.p})) = "
-        f"{value.group.render()}",
+        result,
+        text=f"pi_{args.n}({decomposition.describes}{at}) = {value}",
         caveats=value.notes,
         theorem=decomposition.theorem,
         citations=value.sources,

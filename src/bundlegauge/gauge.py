@@ -423,16 +423,17 @@ def pi0_unpointed_gauge_m0(g: LieGroupId, l: int) -> AbGroup:
 
 
 def pi0_unpointed_gauge_plocal(g: LieGroupId, m: int, k: int, p: int) -> AbGroup:
-    """pi_0 of the p-localized unpointed gauge group, m >= 2, k = 0.
+    """pi_0 of the p-localized unpointed gauge group, m >= 2, k = 0 (mod m).
 
-    For k != 0 the component count is an open problem and the lookup
-    reports unknown.
+    For a nontrivial class the component count is an open problem and
+    the lookup reports unknown.
     """
-    if k != 0:
+    decomposition = decompose_plocal(g, 0, m, 0, p, pointed=True)
+    if k % m != 0:
         raise UnknownValueError(
             "pi_0 of the gauge group is not computed for k != 0 when m >= 2"
         )
-    return pi_pointed_gauge_plocal(g, m, 0, 0, p).group
+    return pi_of_expr(decomposition.expr, 0).group
 
 
 def pi_pointed_gauge_plocal(
@@ -582,7 +583,8 @@ class GaugeQuery(
     )
 ):
     """A bundled decomposition request for a BundleClass, used by the
-    CLI front end."""
+    CLI front end.  looped=None lets a pointed p-local query loop
+    exactly when the class is nontrivial, as decompose_plocal does."""
 
     __slots__ = ()
 
@@ -607,6 +609,13 @@ def run_query(query: GaugeQuery) -> DecompositionResult:
             return decompose_pointed_m0(g, base.l, k)
         return decompose_unpointed_m0(g, base.l, k)
     if base.m == 1:
+        if query.pointed:
+            raise ValueError("pointed does not apply at m = 1, where the base is S^7")
+        if query.locality != "integral":
+            raise OutOfScopeError(
+                "the splitting over S^7 is an integral statement; "
+                "drop the localization"
+            )
         expr = s7_decompose_trivial(g)
         return DecompositionResult(expr, (), TAG_S7_TRIVIAL, "G^0(S^7)")
     if not isinstance(query.locality, int):
@@ -620,5 +629,5 @@ def run_query(query: GaugeQuery) -> DecompositionResult:
         k,
         query.locality,
         pointed=query.pointed,
-        looped=bool(query.looped) if query.pointed else None,
+        looped=query.looped,
     )

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from bundlegauge import cli
+from bundlegauge.bundles import reduce_class
 from bundlegauge.cli import (
     EXIT_OK,
     EXIT_OUT_OF_SCOPE,
@@ -16,6 +17,9 @@ from bundlegauge.cli import (
     EXIT_USAGE,
     run,
 )
+from bundlegauge.gauge import GaugeQuery, pi_of_expr, run_query
+from bundlegauge.manifolds import normalize
+from bundlegauge.tables import LieGroupId
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "docs" / "result-schema.json").read_text()
@@ -115,6 +119,54 @@ class TestGaugeCommands:
             ["gauge", "pi", "--group", "Spin8", "--l", "0", "--m", "0", "--unpointed"]
         )
         assert result.payload["result"]["group"] == "Z + Z + Z"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "gauge pi --group SU4 --l 0 --m 0 --n 1 --p 7",
+            "gauge pi --group SU4 --l 0 --m 0 --p 5 --unpointed",
+            "gauge decompose --group SU4 --l 0 --m 1 --p 5",
+        ],
+    )
+    def test_localizing_an_integral_splitting_is_out_of_scope(self, argv):
+        result = run(["--json", *argv.split()])
+        assert result.exit_code == EXIT_OUT_OF_SCOPE
+        assert result.payload["status"] == "out-of-scope"
+
+    def test_pi_unpointed_reads_the_class_mod_m(self):
+        argv = ["--json", "gauge", "pi", "--group", "SU4", "--l", "0", "--m", "25",
+                "--p", "5", "--unpointed"]
+        trivial = ok(argv).payload
+        assert trivial["result"]["group"] == "Z_(5) + Z_25"
+        assert ok([*argv, "--k", "25"]).payload == trivial
+
+    @pytest.mark.parametrize(
+        "group,l,m,k,n,p,looped",
+        [
+            ("SU4", 0, 0, 0, 0, None, False),  # m = 0, twist 0
+            ("Sp2", 5, 0, 3, 1, None, False),  # m = 0, twist 5: a symbolic summand
+            ("SU4", 0, 6, 0, 0, 5, False),  # v_p(m) = 0
+            ("Spin8", 0, 5, 0, 0, 5, False),  # v_p(m) = 1, trivial class
+            ("SU4", 2, 49, 1, 0, 7, False),  # k != 0: looped without --looped
+            ("SU4", 2, 49, 3, 1, 7, True),
+            ("Sp2", 0, 25, 0, 1, 5, True),  # trivial class, looped on request
+        ],
+    )
+    def test_pi_reads_off_run_query(self, group, l, m, k, n, p, looped):
+        argv = ["--json", "gauge", "pi", "--group", group, "--l", str(l), "--m", str(m),
+                "--k", str(k), "--n", str(n)]
+        argv += [] if p is None else ["--p", str(p)]
+        argv += ["--looped"] if looped else []
+        payload = ok(argv).payload
+        bundle = reduce_class(LieGroupId.parse(group), normalize(l, m), k)
+        query = GaugeQuery(bundle, pointed=True, looped=1 if looped else None,
+                           locality="integral" if p is None else p)
+        decomposition = run_query(query)
+        value = pi_of_expr(decomposition.expr, n)
+        assert payload["result"]["group"] == value.group.render()
+        assert payload["theorem"] == decomposition.theorem
+        assert payload["citations"] == list(value.sources)
+        assert ("symbolic" in payload["result"]) == (p is None)
 
     def test_pi_table_gap_exit_code(self):
         result = run(

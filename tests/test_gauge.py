@@ -308,6 +308,12 @@ class TestPiPointedPlocal:
         with pytest.raises(UnknownValueError):
             pi0_unpointed_gauge_plocal(SU4, 5, 2, 5)
 
+    def test_pi0_unpointed_reads_the_class_mod_m(self):
+        trivial = pi0_unpointed_gauge_plocal(SU4, 25, 0, 5)
+        assert trivial == localize(make_group(1, [25]), 5)
+        assert pi0_unpointed_gauge_plocal(SU4, 25, 25, 5) == trivial
+        assert pi0_unpointed_gauge_plocal(SU4, 25, -50, 5) == trivial
+
 
 class TestS7Equivalence:
     def test_su2_integral_decisions(self):
@@ -399,6 +405,23 @@ class TestRunQuery:
         bundle = reduce_class(SU4, normalize(12, 0), 1)
         looped = run_query(GaugeQuery(bundle, pointed=True, looped=1))
         assert looped == run_query(GaugeQuery(bundle, pointed=True))
+
+    def test_m1_refuses_what_it_does_not_answer(self):
+        bundle = reduce_class(SU4, normalize(0, 1), 0)
+        with pytest.raises(ValueError, match="pointed"):
+            run_query(GaugeQuery(bundle, pointed=True, looped=1, locality=5))
+        with pytest.raises(ValueError, match="pointed"):
+            run_query(GaugeQuery(bundle, pointed=True))
+        with pytest.raises(OutOfScopeError, match="integral"):
+            run_query(GaugeQuery(bundle, locality=5))
+
+    def test_unset_looped_loops_a_nontrivial_class(self):
+        bundle = reduce_class(SU4, normalize(2, 25), 3)
+        chosen = run_query(GaugeQuery(bundle, pointed=True, looped=None, locality=5))
+        assert chosen.loops == 1
+        assert chosen == decompose_plocal(SU4, 2, 25, 3, 5, pointed=True, looped=True)
+        with pytest.raises(UnknownValueError):
+            run_query(GaugeQuery(bundle, pointed=True, locality=5))
 
     def test_torsion_without_prime_rejected(self):
         bundle = reduce_class(SU4, normalize(0, 9), 0)
