@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Every subcommand prints a short human answer and, with --json, a stable
-JSON document carrying the result, any caveats, the name of the
-decision rule used, and the citations of table values consulted.
+JSON document carrying the result, any caveats, the name and citations
+of the decision rule used (its row of tables.RULES), then the sources of
+the table values consulted.
 
 Exit codes: 0 answered, 1 usage error, 2 out of theorem scope,
 3 unknown value or table gap.
@@ -37,7 +38,7 @@ from .manifolds import (
     suspension_plocal,
 )
 from .oracle import complex_for_manifold, homology_of, parse_complex
-from .tables import LieGroupId, default_table, pi6_moore, pi6_moore_source
+from .tables import PI6_MOORE_SOURCE, RULES, LieGroupId, default_table, pi6_moore
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,14 +66,15 @@ class QueryResult(
     __slots__ = ()
 
 
-def _result(result, *, text: str, caveats=(), theorem=None, citations=(),
+def _result(result, *, text: str, rule=None, caveats=(), sources=(),
             status: str = "ok", code: int = EXIT_OK) -> QueryResult:
+    theorem, citations = RULES[rule] if rule else (None, ())
     payload = {
         "status": status,
         "result": result,
         "caveats": list(caveats),
         "theorem": theorem,
-        "citations": list(citations),
+        "citations": [*citations, *sources],
     }
     return QueryResult(text, payload, code)
 
@@ -127,10 +129,7 @@ def _cmd_classify(args) -> QueryResult:
         result["k"] = bundle.k
         result["modulus"] = bundle.modulus
         text += f"; k_raw={args.k} reduces to k={bundle.k}"
-    return _result(
-        result, text=text,
-        theorem="bundle classification over the total space",
-    )
+    return _result(result, text=text, rule="classify")
 
 
 def _cmd_manifold_equiv(args) -> QueryResult:
@@ -138,21 +137,11 @@ def _cmd_manifold_equiv(args) -> QueryResult:
     b = normalize(*_pair(args.b))
     decision = is_homotopy_equivalent(a, b)
     verdict = "equivalent" if decision.equivalent else "not equivalent"
-    theorem = (
-        "James-Whitehead criterion" if a.m == 0 else
-        "S^7 identification" if a.m == 1 else "Crowley-Escher criterion"
-    ) if a.m == b.m else "degree-3 homology"
-    citations = []
-    if a.m == b.m == 0:
-        citations.append("James-Whitehead (1954)")
-    elif a.m == b.m and a.m >= 2:
-        citations.append("Crowley-Escher (2003)")
     return _result(
         {"equivalent": decision.equivalent, "reason": decision.reason,
          "a": {"l": a.l, "m": a.m}, "b": {"l": b.l, "m": b.m}},
         text=f"{a} and {b}: {verdict} ({decision.reason})",
-        theorem=theorem,
-        citations=citations,
+        rule=decision.rule,
     )
 
 
@@ -163,7 +152,7 @@ def _cmd_manifold_homology(args) -> QueryResult:
     return _result(
         {"degrees": [g.render() for g in groups], "l": spec.l, "m": spec.m},
         text=f"{spec}: {text}",
-        theorem="closed-form cellular homology",
+        rule="homology",
     )
 
 
@@ -171,17 +160,12 @@ def _cmd_manifold_suspend(args) -> QueryResult:
     spec = normalize(args.l, args.m)
     if args.p is None:
         expr = suspension(spec)
-        theorem = "integral suspension splitting"
-        citations = []
     else:
         expr = suspension_plocal(spec, args.p)
-        theorem = "p-local suspension splitting"
-        citations = [pi6_moore_source()]
     return _result(
         {"expression": expr.render(), "tree": expr.to_json()},
         text=f"Susp {spec} = {expr.render()}",
-        theorem=theorem,
-        citations=citations,
+        rule="suspension" if args.p is None else "suspension-plocal",
     )
 
 
@@ -212,7 +196,7 @@ def _cmd_gauge_decompose(args) -> QueryResult:
         text=f"{decomposition.describes} = {decomposition.expr.render()}"
         + (f"  [{loops.strip()} applied]" if decomposition.loops else ""),
         caveats=decomposition.caveats,
-        theorem=decomposition.theorem,
+        rule=decomposition.rule,
     )
 
 
@@ -236,16 +220,14 @@ def _cmd_gauge_pi(args) -> QueryResult:
     if args.unpointed:
         if args.p is None:
             group = pi0_unpointed_gauge_m0(query.bundle.group, spec.l)
-            theorem = "component table over a torsion-free base"
         else:
             group = pi0_unpointed_gauge_plocal(
                 query.bundle.group, spec.m, query.bundle.k, args.p
             )
-            theorem = "p-local component table"
         return _result(
             _group_json(group),
             text=f"pi_0(G^{query.bundle.k}({spec}){at}) = {group.render()}",
-            theorem=theorem,
+            rule="components-m0" if args.p is None else "components-plocal",
         )
     decomposition = run_query(query)
     value = pi_of_expr(decomposition.expr, args.n)
@@ -256,8 +238,8 @@ def _cmd_gauge_pi(args) -> QueryResult:
         result,
         text=f"pi_{args.n}({decomposition.describes}{at}) = {value}",
         caveats=value.notes,
-        theorem=decomposition.theorem,
-        citations=value.sources,
+        rule=decomposition.rule,
+        sources=value.sources,
     )
 
 
@@ -274,8 +256,7 @@ def _cmd_gauge_equiv_s7(args) -> QueryResult:
         result,
         text=f"G^{args.k}(S^7) vs G^{args.kp}(S^7) for {g} at {locality}: "
         f"{decision.verdict} ({decision.reason})",
-        theorem="gcd rule for gauge groups over S^7",
-        citations=["Lang (1973)", "Theriault (2010)"],
+        rule="s7-gcd",
         status="out-of-scope" if out_of_scope else "ok",
         code=EXIT_OUT_OF_SCOPE if out_of_scope else EXIT_OK,
     )
@@ -287,8 +268,7 @@ def _cmd_gauge_equiv_su5(args) -> QueryResult:
         {"verdict": decision.verdict, "reason": decision.reason},
         text=f"SU(5) gauge groups k={args.k}, k'={args.kp}: "
         f"{decision.verdict} ({decision.reason})",
-        theorem="gcd-120 rule for SU(5) over torsion-free bases",
-        citations=["Theriault (2015)"],
+        rule="su5-gcd",
     )
 
 
@@ -301,9 +281,9 @@ def _cmd_tables_lookup(args) -> QueryResult:
         group = pi6_moore(args.moore)
         return _result(
             {"key": f"P^4({args.moore})", "degree": 6,
-             **_group_json(group), "source": pi6_moore_source()},
+             **_group_json(group), "source": PI6_MOORE_SOURCE},
             text=f"pi_6(P^4({args.moore})) = {group.render()}",
-            citations=[pi6_moore_source()],
+            sources=[PI6_MOORE_SOURCE],
         )
     if args.i is None:
         raise UsageError("--i is required for sphere and group lookups")
@@ -321,7 +301,7 @@ def _cmd_tables_lookup(args) -> QueryResult:
         {"key": rec.key, "degree": rec.degree, **_group_json(rec.group),
          "source": rec.source},
         text=f"{label} = {rec.group.render()}  [{rec.source}]",
-        citations=[rec.source],
+        sources=[rec.source],
     )
 
 
@@ -344,7 +324,7 @@ def _cmd_oracle_homology(args) -> QueryResult:
             "degrees": [g.render() for g in groups],
         },
         text=f"{label}: H_* = (" + ", ".join(g.render() for g in groups) + ")",
-        theorem="Smith normal form on the cellular chain complex",
+        rule="snf",
     )
 
 

@@ -62,7 +62,7 @@ from .spaces import (
     product,
     x_fiber,
 )
-from .tables import LieGroupId, PiTable, default_table, pi6, pi6_moore, pi6_moore_source
+from .tables import PI6_MOORE_SOURCE, LieGroupId, PiTable, default_table, pi6, pi6_moore
 
 __all__ = [
     "DecompositionResult",
@@ -86,14 +86,6 @@ __all__ = [
     "run_query",
 ]
 
-TAG_UNPOINTED_M0 = "unpointed splitting over a torsion-free base"
-TAG_POINTED_M0 = "pointed splitting over a torsion-free base"
-TAG_PLOCAL_TRIVIAL = "p-local splitting for p prime to m, trivial class"
-TAG_PLOCAL_LOOPED = "p-local splitting of the looped gauge group"
-TAG_PLOCAL_POINTED = "p-local pointed splitting, trivial class"
-TAG_PLOCAL_POINTED_LOOPED = "p-local splitting of the looped pointed gauge group"
-TAG_S7_TRIVIAL = "gauge group of the unique bundle over S^7"
-
 _CAVEAT_GAUGE_S4 = (
     "G^k(S^4) is an opaque factor: the splitting reduces the problem to "
     "gauge groups over S^4, it does not resolve them"
@@ -101,12 +93,12 @@ _CAVEAT_GAUGE_S4 = (
 
 
 class DecompositionResult(
-    namedtuple("DecompositionResult", "expr caveats theorem describes loops")
+    namedtuple("DecompositionResult", "expr caveats rule describes loops")
 ):
     """A canonical decomposition plus its bookkeeping.
 
-    loops says how many times the described gauge group has been looped
-    (0 or 1); describes is a short display name of the object.
+    loops counts the loopings (0 or 1) of the described gauge group,
+    describes names it for display, and rule keys its row in tables.RULES.
     """
 
     __slots__ = ()
@@ -115,7 +107,7 @@ class DecompositionResult(
         cls,
         expr: SpaceExpr,
         caveats: tuple[str, ...],
-        theorem: str,
+        rule: str,
         describes: str,
         loops: int = 0,
     ) -> DecompositionResult:
@@ -126,7 +118,7 @@ class DecompositionResult(
         )
         if has_opaque and not caveats:
             raise ValueError("opaque atoms require an explanatory caveat")
-        return super().__new__(cls, expr, caveats, theorem, describes, loops)
+        return super().__new__(cls, expr, caveats, rule, describes, loops)
 
 
 def _check_prime_ge5(p: int) -> int:
@@ -155,7 +147,7 @@ def decompose_unpointed_m0(g: LieGroupId, l: int, k: int) -> DecompositionResult
     factors, caveats = _map_star(g, twist_class(l))
     return DecompositionResult(
         product(gauge_s4(g, k), *factors), (_CAVEAT_GAUGE_S4, *caveats),
-        TAG_UNPOINTED_M0, f"G^{k}(M({l},0))",
+        "unpointed-m0", f"G^{k}(M({l},0))",
     )
 
 
@@ -164,7 +156,7 @@ def decompose_pointed_m0(g: LieGroupId, l: int, k: int) -> DecompositionResult:
     require_pi6_zero(g)
     factors, caveats = _map_star(g, twist_class(l))
     return DecompositionResult(
-        product(loop(4, lie(g)), *factors), caveats, TAG_POINTED_M0,
+        product(loop(4, lie(g)), *factors), caveats, "pointed-m0",
         f"G*^{k}(M({l},0))",
     )
 
@@ -197,13 +189,13 @@ def decompose_plocal(
                 )
             expr = localized(p, product(mod_loop(3, g, p**r), loop(7, lie(g))))
             return DecompositionResult(
-                expr, (), TAG_PLOCAL_POINTED, f"G*^0(M({l},{m}))"
+                expr, (), "plocal-pointed", f"G*^0(M({l},{m}))"
             )
         expr = localized(p, product(mod_loop(4, g, p**r), loop(8, lie(g))))
         return DecompositionResult(
             expr,
             (),
-            TAG_PLOCAL_POINTED_LOOPED,
+            "plocal-pointed-looped",
             f"O^1 G*^{k}(M({l},{m}))",
             loops=1,
         )
@@ -217,7 +209,7 @@ def decompose_plocal(
             )
         expr = localized(p, product(loop(7, lie(g)), lie(g)))
         return DecompositionResult(
-            expr, (), TAG_PLOCAL_TRIVIAL, f"G^0(M({l},{m}))"
+            expr, (), "plocal-trivial", f"G^0(M({l},{m}))"
         )
     if k % p**r == 0:
         expr = localized(
@@ -242,7 +234,7 @@ def decompose_plocal(
             f"{p}^{r} divides k, which fails here",
         )
     return DecompositionResult(
-        expr, caveats, TAG_PLOCAL_LOOPED, f"O^1 G^{k}(M({l},{m}))", loops=1
+        expr, caveats, "plocal-looped", f"O^1 G^{k}(M({l},{m}))", loops=1
     )
 
 
@@ -391,7 +383,7 @@ def _pi(expr: SpaceExpr, n: int, table: PiTable) -> PiValue:
             factors, _ = _map_star(expr.args[1], 0)
             return _merge([_pi(f, n, table) for f in factors])
         case "moore" if expr.args[0] == 4 and n == 6:
-            return PiValue(pi6_moore(expr.args[1]), sources=(pi6_moore_source(),))
+            return PiValue(pi6_moore(expr.args[1]), sources=(PI6_MOORE_SOURCE,))
     return PiValue(TRIVIAL, (f"pi_{n}({expr.render()})",))
 
 
@@ -616,8 +608,7 @@ def run_query(query: GaugeQuery) -> DecompositionResult:
                 "the splitting over S^7 is an integral statement; "
                 "drop the localization"
             )
-        expr = s7_decompose_trivial(g)
-        return DecompositionResult(expr, (), TAG_S7_TRIVIAL, "G^0(S^7)")
+        return DecompositionResult(s7_decompose_trivial(g), (), "s7-trivial", "G^0(S^7)")
     if not isinstance(query.locality, int):
         raise OutOfScopeError(
             "bases with torsion are only decomposed p-locally; pass a prime p >= 5"

@@ -86,7 +86,7 @@ def homology(spec: ManifoldSpec) -> tuple[AbGroup, ...]:
     return tuple(h)
 
 
-class EquivalenceDecision(namedtuple("EquivalenceDecision", "equivalent reason")):
+class EquivalenceDecision(namedtuple("EquivalenceDecision", "equivalent reason rule")):
     __slots__ = ()
 
     def __bool__(self) -> bool:
@@ -102,10 +102,12 @@ def is_homotopy_equivalent(a: ManifoldSpec, b: ManifoldSpec) -> EquivalenceDecis
     """Decide homotopy equivalence of two total spaces."""
     if a.m != b.m:
         return EquivalenceDecision(
-            False, f"m differs ({a.m} vs {b.m}): degree-3 homotopy distinguishes them"
+            False, f"m differs ({a.m} vs {b.m}): degree-3 homotopy distinguishes them",
+            "degree-3",
         )
     if a.m == 1:
-        return EquivalenceDecision(True, "both are homotopy equivalent to S^7")
+        return EquivalenceDecision(True, "both are homotopy equivalent to S^7",
+                                   "s7-identification")
     if a.m == 0:
         ok = (a.l - b.l) % 12 == 0 or (a.l + b.l) % 12 == 0
         verdict = "" if ok else "no "
@@ -113,6 +115,7 @@ def is_homotopy_equivalent(a: ManifoldSpec, b: ManifoldSpec) -> EquivalenceDecis
             ok,
             f"{verdict}congruence l' = +-l (mod 12) "
             f"for l={a.l}, l'={b.l} (James-Whitehead)",
+            "james-whitehead",
         )
     g = gcd(a.m, 12)
     for alpha in _ROOTS_OF_UNITY[g]:
@@ -121,10 +124,12 @@ def is_homotopy_equivalent(a: ManifoldSpec, b: ManifoldSpec) -> EquivalenceDecis
                 True,
                 f"a={alpha} solves a^2 = 1 (mod {g}) and l' = a*l (mod {g}) "
                 f"(Crowley-Escher)",
+                "crowley-escher",
             )
     return EquivalenceDecision(
         False,
         f"no a with a^2 = 1 (mod {g}) sends l={a.l} to l'={b.l} (Crowley-Escher)",
+        "crowley-escher",
     )
 
 

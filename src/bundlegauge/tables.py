@@ -30,7 +30,8 @@ __all__ = [
     "pi_lie",
     "pi6",
     "pi6_moore",
-    "pi6_moore_source",
+    "PI6_MOORE_SOURCE",
+    "RULES",
 ]
 
 ENV_TABLE_PATH = "BUNDLEGAUGE_TABLES"
@@ -264,5 +265,28 @@ def pi6_moore(m: int) -> AbGroup:
     return make_group(0, [d for d in orders if d > 1])
 
 
-def pi6_moore_source() -> str:
-    return "Sasao (1965)"
+PI6_MOORE_SOURCE = "Sasao (1965)"
+
+# Each decision rule that an answer reports: key -> (name, citations).
+RULES = {
+    "classify": ("bundle classification over the total space", ()),
+    "degree-3": ("degree-3 homology", ()),
+    "s7-identification": ("S^7 identification", ()),
+    "james-whitehead": ("James-Whitehead criterion", ("James-Whitehead (1954)",)),
+    "crowley-escher": ("Crowley-Escher criterion", ("Crowley-Escher (2003)",)),
+    "homology": ("closed-form cellular homology", ()),
+    "suspension": ("integral suspension splitting", ()),
+    "suspension-plocal": ("p-local suspension splitting", (PI6_MOORE_SOURCE,)),
+    "unpointed-m0": ("unpointed splitting over a torsion-free base", ()),
+    "pointed-m0": ("pointed splitting over a torsion-free base", ()),
+    "plocal-trivial": ("p-local splitting for p prime to m, trivial class", ()),
+    "plocal-looped": ("p-local splitting of the looped gauge group", ()),
+    "plocal-pointed": ("p-local pointed splitting, trivial class", ()),
+    "plocal-pointed-looped": ("p-local splitting of the looped pointed gauge group", ()),
+    "components-m0": ("component table over a torsion-free base", ()),
+    "components-plocal": ("p-local component table", ()),
+    "s7-trivial": ("gauge group of the unique bundle over S^7", ()),
+    "s7-gcd": ("gcd rule for gauge groups over S^7", ("Lang (1973)", "Theriault (2010)")),
+    "su5-gcd": ("gcd-120 rule for SU(5) over torsion-free bases", ("Theriault (2015)",)),
+    "snf": ("Smith normal form on the cellular chain complex", ()),
+}

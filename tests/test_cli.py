@@ -19,7 +19,7 @@ from bundlegauge.cli import (
 )
 from bundlegauge.gauge import GaugeQuery, pi_of_expr, run_query
 from bundlegauge.manifolds import normalize
-from bundlegauge.tables import LieGroupId
+from bundlegauge.tables import RULES, LieGroupId
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "docs" / "result-schema.json").read_text()
@@ -164,7 +164,7 @@ class TestGaugeCommands:
         decomposition = run_query(query)
         value = pi_of_expr(decomposition.expr, n)
         assert payload["result"]["group"] == value.group.render()
-        assert payload["theorem"] == decomposition.theorem
+        assert payload["theorem"] == RULES[decomposition.rule][0]
         assert payload["citations"] == list(value.sources)
         assert ("symbolic" in payload["result"]) == (p is None)
 

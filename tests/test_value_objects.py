@@ -37,8 +37,8 @@ CASES = [
      f"TableRecord(family=None, min_n=None, key='S3', degree=6, group={Z12!r}, "
      "source='Toda')"),
     (lambda: SPEC, "ManifoldSpec(l=1, m=0, original=(1, 0))"),
-    (lambda: EquivalenceDecision(True, "r"),
-     "EquivalenceDecision(equivalent=True, reason='r')"),
+    (lambda: EquivalenceDecision(True, "r", "k"),
+     "EquivalenceDecision(equivalent=True, reason='r', rule='k')"),
     (lambda: BUNDLE,
      "BundleClass(base=ManifoldSpec(l=1, m=0, original=(1, 0)), "
      "group=LieGroupId(family='SU', n=4), k=3, modulus=0)"),
@@ -46,7 +46,7 @@ CASES = [
      f"GaugeQuery(bundle={BUNDLE!r}, pointed=False, looped=0, locality='integral')"),
     (lambda: DecompositionResult(sphere(3), (), "t", "d"),
      "DecompositionResult(expr=SpaceExpr(kind='sphere', args=(3,)), caveats=(), "
-     "theorem='t', describes='d', loops=0)"),
+     "rule='t', describes='d', loops=0)"),
     (lambda: PiValue(TRIVIAL, sources=("s",)),
      f"PiValue(group={TRIVIAL!r}, symbolic=(), notes=(), sources=('s',))"),
     (lambda: CoefficientGroup(TRIVIAL, False),
@@ -98,8 +98,8 @@ def test_lie_groups_sort_by_family_then_rank():
 @pytest.mark.parametrize(
     "decision, truth",
     [
-        (EquivalenceDecision(True, "r"), True),
-        (EquivalenceDecision(False, "r"), False),
+        (EquivalenceDecision(True, "r", "k"), True),
+        (EquivalenceDecision(False, "r", "k"), False),
         (S7Decision("equivalent", "r"), True),
         (S7Decision("not-equivalent", "r"), False),
         (S7Decision("out-of-scope", "r"), False),
