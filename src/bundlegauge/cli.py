@@ -256,7 +256,7 @@ def _cmd_gauge_equiv_s7(args) -> QueryResult:
         result,
         text=f"G^{args.k}(S^7) vs G^{args.kp}(S^7) for {g} at {locality}: "
         f"{decision.verdict} ({decision.reason})",
-        rule="s7-gcd",
+        rule=decision.rule,
         status="out-of-scope" if out_of_scope else "ok",
         code=EXIT_OUT_OF_SCOPE if out_of_scope else EXIT_OK,
     )

@@ -451,8 +451,11 @@ def pi_pointed_gauge_plocal(
 # Homotopy equivalence decisions for gauge groups over S^7.
 
 
-class S7Decision(namedtuple("S7Decision", "verdict reason expr", defaults=(None,))):
-    """verdict is "equivalent", "not-equivalent" or "out-of-scope"."""
+class S7Decision(
+    namedtuple("S7Decision", "verdict reason expr rule", defaults=(None, "s7-gcd"))
+):
+    """verdict is "equivalent", "not-equivalent" or "out-of-scope"; rule
+    keys tables.RULES, the gcd rule unless the bundle is unique."""
 
     __slots__ = ()
 
@@ -492,6 +495,7 @@ def s7_gauge_equivalent(
             "equivalent",
             "pi_6(G) = 0, so there is a single bundle class over S^7",
             s7_decompose_trivial(g),
+            "s7-trivial",
         )
     a, b = gcd(3, k), gcd(3, k_prime)
     same = a == b

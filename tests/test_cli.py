@@ -181,6 +181,20 @@ class TestGaugeCommands:
         )
         assert result.payload["result"]["verdict"] == "equivalent"
 
+    @pytest.mark.parametrize(
+        "group,theorem,citations",
+        [
+            ("E8", "gauge group of the unique bundle over S^7", []),
+            ("SU2", "gcd rule for gauge groups over S^7",
+             ["Lang (1973)", "Theriault (2010)"]),
+        ],
+    )
+    def test_equiv_s7_names_the_rule_that_decided(self, group, theorem, citations):
+        payload = ok(
+            ["gauge", "equiv-s7", "--group", group, "--k", "2", "--kp", "3"]
+        ).payload
+        assert (payload["theorem"], payload["citations"]) == (theorem, citations)
+
     def test_equiv_s7_out_of_scope(self):
         result = run(
             ["gauge", "equiv-s7", "--group", "SU3", "--k", "0", "--kp", "3",

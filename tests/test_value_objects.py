@@ -52,7 +52,7 @@ CASES = [
     (lambda: CoefficientGroup(TRIVIAL, False),
      f"CoefficientGroup(group={TRIVIAL!r}, extension_split_assumed=False, sources=())"),
     (lambda: S7Decision("equivalent", "r"),
-     "S7Decision(verdict='equivalent', reason='r', expr=None)"),
+     "S7Decision(verdict='equivalent', reason='r', expr=None, rule='s7-gcd')"),
     (lambda: Su5Decision("undecided", "r"), "Su5Decision(verdict='undecided', reason='r')"),
     (lambda: IntMatrix(1, 2, ((1, 2),)), "IntMatrix(rows=1, cols=2, entries=((1, 2),))"),
     (lambda: ChainComplex((1, 1), (ZERO_1x1,)),
