@@ -6,8 +6,9 @@ never extrapolate beyond it.  A missing entry raises UnknownValueError.
 
 Family-parameterized records such as ``Sp(n):n>=2 | 4 | Z_2 | ...``
 carry an explicit validity range on the rank parameter.  The classical
-coincidences SU(2) = Sp(1), Spin(5) = Sp(2) and Spin(6) = SU(4) resolve
-to a single canonical key each, so the data is maintained once.
+coincidences SU(2) = Sp(1) = S^3, Spin(5) = Sp(2) and Spin(6) = SU(4)
+resolve to a single canonical key each (S3, Sp2, SU4), so the data is
+maintained once; a row keyed by an alias is refused.
 """
 
 from __future__ import annotations
@@ -109,6 +110,13 @@ class TableRecord(namedtuple("TableRecord", "family min_n key degree group sourc
         return f"{self.key} | {self.degree} | {self.group.render()} | {self.source}"
 
 
+def _lie_key(g: LieGroupId) -> str:
+    """The key of g's exact rows: S3 for SU(2) = Sp(1), which is the
+    sphere S^3, and the canonical token otherwise."""
+    c = g.canonical()
+    return "S3" if c == ("SU", 2) else c.token()
+
+
 _FAMILY_KEY = re.compile(r"^(SU|Sp|Spin)\(n\):n>=(\d+)$")
 _EXACT_KEY = re.compile(r"^(S\d+|SU\d+|Sp\d+|Spin\d+|G2|F4|E6|E7|E8)$")
 
@@ -128,6 +136,10 @@ def _parse_record(line: str) -> TableRecord:
     if fam:
         return TableRecord(fam.group(1), int(fam.group(2)), key, degree, group, source)
     if _EXACT_KEY.match(key):
+        # Spheres and exceptional groups, a letter then digits, are canonical.
+        canonical = key if key[1].isdigit() else _lie_key(LieGroupId.parse(key))
+        if canonical != key:
+            raise ValueError(f"table key {key} is an alias: key its rows {canonical}")
         return TableRecord(None, None, key, degree, group, source)
     raise ValueError(f"unrecognized table key {key!r}")
 
@@ -190,10 +202,10 @@ class PiTable:
     def lie_record(self, g: LieGroupId, i: int) -> TableRecord:
         if i < 0:
             raise ValueError("degree must be nonnegative")
-        c = g.canonical()
-        rec = self._exact.get((c.token(), i))
+        rec = self._exact.get((_lie_key(g), i))
         if rec is not None:
             return rec
+        c = g.canonical()
         if c.n is not None:
             for fam_rec in self._family.get((c.family, i), []):
                 if fam_rec.min_n is not None and c.n >= fam_rec.min_n:

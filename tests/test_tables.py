@@ -111,6 +111,12 @@ class TestLieLookups:
         assert pi_lie(LieGroupId("Spin", 6), 8) == make_group(0, [24])
         assert pi_lie(LieGroupId("Sp", 1), 6) == make_group(0, [12])
 
+    @pytest.mark.parametrize("g", [LieGroupId("SU", 2), LieGroupId("Sp", 1)])
+    def test_su2_reads_the_s3_rows(self, g):
+        table = default_table()
+        for i in range(10):
+            assert table.lie_record(g, i) is table.sphere_record(3, i)
+
 
 class TestPi6:
     def test_table(self):
@@ -178,6 +184,15 @@ class TestDataFile:
             PiTable.from_text("S3 | 6 | Z_12\n")
         with pytest.raises(ValueError):
             PiTable.from_text("Q8 | 6 | Z_12 | src\n")
+
+    @pytest.mark.parametrize(
+        "alias,canonical",
+        [("SU2", "S3"), ("Sp1", "S3"), ("Spin5", "Sp2"), ("Spin6", "SU4")],
+    )
+    def test_alias_rows_rejected(self, alias, canonical):
+        # No lookup would ever read such a row: the alias resolves first.
+        with pytest.raises(ValueError, match=f"{alias} is an alias: key its rows {canonical}"):
+            PiTable.from_text(f"{alias} | 3 | Z_7 | mine\n")
 
     def test_env_override(self, tmp_path, monkeypatch):
         alt = tmp_path / "tiny.txt"
