@@ -201,6 +201,8 @@ def _cmd_gauge_decompose(args) -> QueryResult:
 
 
 def _cmd_gauge_pi(args) -> QueryResult:
+    if args.n < 0:
+        raise UsageError("homotopy degree must be nonnegative")
     spec = normalize(args.l, args.m)
     if args.looped and args.unpointed:
         raise UsageError("--looped does not combine with --unpointed")
@@ -288,7 +290,7 @@ def _cmd_tables_lookup(args) -> QueryResult:
     if args.i is None:
         raise UsageError("--i is required for sphere and group lookups")
     if args.space is not None:
-        if not args.space.startswith("S"):
+        if not (args.space.startswith("S") and args.space[1:].isdecimal()):
             raise UsageError("sphere keys look like S3, S4, ...")
         n = int(args.space[1:])
         rec = table.sphere_record(n, args.i)

@@ -219,6 +219,14 @@ class TestGaugeCommands:
         assert result.payload["status"] == "usage-error"
         assert flag in result.payload["error"]
 
+    def test_negative_degree_is_a_usage_error_pointed_or_not(self):
+        argv = ["--json", "gauge", "pi", "--group", "SU4", "--l", "0", "--m", "0",
+                "--n", "-1"]
+        for extra in ([], ["--unpointed"]):
+            result = run([*argv, *extra])
+            assert result.exit_code == EXIT_USAGE, extra
+            assert result.payload["error"] == "homotopy degree must be nonnegative"
+
     def test_looped_decompose_needs_pointed(self):
         argv = ["--json", "gauge", "decompose", "--group", "SU4", "--l", "0",
                 "--m", "10", "--k", "0", "--p", "7", "--looped"]
@@ -247,6 +255,12 @@ class TestTablesAndOracle:
     def test_moore_lookup(self):
         result = ok(["tables", "lookup", "--moore", "8"])
         assert result.payload["result"]["group"] == "Z_2 + Z_4 + Z_8"
+
+    @pytest.mark.parametrize("space", ["S", "S3x", "X3"])
+    def test_malformed_sphere_key_is_explained(self, space):
+        result = run(["--json", "tables", "lookup", "--space", space, "--i", "3"])
+        assert result.exit_code == EXIT_USAGE
+        assert result.payload["error"] == "sphere keys look like S3, S4, ..."
 
     def test_lookup_gap_exit_code(self):
         result = run(["tables", "lookup", "--space", "S3", "--i", "25"])
