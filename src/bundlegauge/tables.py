@@ -111,8 +111,7 @@ class TableRecord(namedtuple("TableRecord", "family min_n key degree group sourc
 
 
 def _lie_key(g: LieGroupId) -> str:
-    """The key of g's exact rows: S3 for SU(2) = Sp(1), which is the
-    sphere S^3, and the canonical token otherwise."""
+    """The key of g's exact rows: S3 for SU(2) = Sp(1) = S^3, else its token."""
     c = g.canonical()
     return "S3" if c == ("SU", 2) else c.token()
 
