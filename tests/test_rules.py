@@ -39,8 +39,10 @@ GROUPS = [LieGroupId.parse(t) for t in ("SU2", "SU3", "G2", "SU4", "Sp2", "Spin7
 
 
 def _argvs() -> list[list[str]]:
-    corpus = [json.loads(line)["argv"] for line in CORPUS.read_text().splitlines()]
-    return corpus + [["--json", *line.split()] for line in EXTRA_ARGVS]
+    corpus = CORPUS.read_text(encoding="utf-8").splitlines()
+    return [json.loads(line)["argv"] for line in corpus] + [
+        ["--json", *line.split()] for line in EXTRA_ARGVS
+    ]
 
 
 def test_every_printed_theorem_is_a_row_and_every_row_is_printed():
