@@ -117,7 +117,7 @@ def _lie_key(g: LieGroupId) -> str:
 
 
 _FAMILY_KEY = re.compile(r"^(SU|Sp|Spin)\(n\):n>=(\d+)$")
-_EXACT_KEY = re.compile(r"^(S\d+|SU\d+|Sp\d+|Spin\d+|G2|F4|E6|E7|E8)$")
+_EXACT_KEY = re.compile(r"^(?:S\d+|(SU|Sp|Spin)(\d+)|G2|F4|E6|E7|E8)$")
 
 
 def _parse_record(line: str) -> TableRecord:
@@ -134,11 +134,14 @@ def _parse_record(line: str) -> TableRecord:
     fam = _FAMILY_KEY.match(key)
     if fam:
         return TableRecord(fam.group(1), int(fam.group(2)), key, degree, group, source)
-    if _EXACT_KEY.match(key):
-        # Spheres and exceptional groups, a letter then digits, are canonical.
-        canonical = key if key[1].isdigit() else _lie_key(LieGroupId.parse(key))
-        if canonical != key:
-            raise ValueError(f"table key {key} is an alias: key its rows {canonical}")
+    exact = _EXACT_KEY.match(key)
+    if exact:
+        if exact.group(1):  # a family with a rank, where the aliases live
+            canonical = _lie_key(LieGroupId(exact.group(1), int(exact.group(2))))
+            if canonical != key:
+                raise ValueError(
+                    f"table key {key} is an alias: key its rows {canonical}"
+                )
         return TableRecord(None, None, key, degree, group, source)
     raise ValueError(f"unrecognized table key {key!r}")
 
