@@ -157,9 +157,7 @@ class AbGroup(namedtuple("AbGroup", "free_rank invariant_factors local_prime")):
                 raise ValueError(f"{invariant_factors} is not a divisibility chain")
             prev = d
         if local_prime is not None:
-            p = local_prime
-            if not is_prime(p):
-                raise ValueError(f"locality prime {p} is not prime")
+            p = Prime(local_prime).value
             if free_rank == 0 and not invariant_factors:
                 raise ValueError("the trivial group is stored integral")
             for d in invariant_factors:

@@ -33,8 +33,9 @@ class BundleClass(namedtuple("BundleClass", "base group k modulus")):
     """A reduced classifying parameter for a principal G-bundle over the
     ManifoldSpec base, for the LieGroupId group.
 
-    modulus 0 means the class lives in Z (m = 0); otherwise k is the
-    canonical residue mod the modulus (m for m >= 2, the order of
+    modulus is the order of the classification set: 0 when it is
+    infinite, as Z is at m = 0, and k is then kept as given; otherwise k
+    is the canonical residue mod the modulus (m for m >= 2, the order of
     pi_6(G) for m = 1).
     """
 
@@ -78,13 +79,7 @@ def projection_induced_map_kind(m: int) -> str:
 
 
 def reduce_class(g: LieGroupId, spec: ManifoldSpec, k_raw: int) -> BundleClass:
-    """Store the canonical residue of a raw classifying integer."""
-    index_set = classify_bundles(g, spec)
-    if spec.m == 0:
-        return BundleClass(spec, g, k_raw, 0)
-    if spec.m >= 2:
-        return BundleClass(spec, g, k_raw % spec.m, spec.m)
-    modulus = index_set.order()
-    if modulus == 0:
-        raise OutOfScopeError("classification set over S^7 must be finite")
-    return BundleClass(spec, g, k_raw % modulus, modulus)
+    """Store the canonical residue of a raw classifying integer, modulo
+    the order of the classification set (0 when it is infinite)."""
+    modulus = classify_bundles(g, spec).order()
+    return BundleClass(spec, g, k_raw % modulus if modulus else k_raw, modulus)

@@ -40,17 +40,16 @@ from math import gcd
 
 from .abelian import (
     AbGroup,
+    Prime,
     TRIVIAL,
     direct_sum,
-    is_prime,
     localize,
     tensor_with_cyclic,
     tor_with_cyclic,
-    vp,
 )
 from .bundles import require_pi6_zero
 from .errors import OutOfScopeError, UnknownValueError
-from .manifolds import twist_class
+from .manifolds import plocal_valuation, twist_class
 from .spaces import (
     SpaceExpr,
     gauge_s4,
@@ -121,14 +120,6 @@ class DecompositionResult(
         return super().__new__(cls, expr, caveats, rule, describes, loops)
 
 
-def _check_prime_ge5(p: int) -> int:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p < 5:
-        raise OutOfScopeError(f"p-local statements here require p >= 5, got {p}")
-    return p
-
-
 def _map_star(g: LieGroupId, t: int) -> tuple[tuple[SpaceExpr, ...], tuple[str, ...]]:
     """The factors of Map_*(Y_t, G) and their caveats: O^3[G] x O^7[G]
     for t = 0, the symbolic atom otherwise."""
@@ -172,11 +163,8 @@ def decompose_plocal(
 ) -> DecompositionResult:
     """p-local decompositions for bases with torsion, p >= 5."""
     require_pi6_zero(g)
-    _check_prime_ge5(p)
-    if m < 2:
-        raise OutOfScopeError("p-local decompositions apply to m >= 2 only")
+    r = plocal_valuation(m, p)
     k = k % m
-    r = vp(m, p)
 
     if pointed:
         if looped is None:
@@ -240,11 +228,7 @@ def decompose_plocal(
 
 def s7_decompose_trivial(g: LieGroupId) -> SpaceExpr:
     """O^7[G] x G for the unique bundle over S^7 when pi_6(G) = 0."""
-    group = pi6(g)
-    if not group.is_trivial:
-        raise OutOfScopeError(
-            f"the bundle over S^7 is not unique: pi_6({g}) = {group}"
-        )
+    require_pi6_zero(g)
     return product(loop(7, lie(g)), lie(g))
 
 
@@ -321,7 +305,7 @@ def _coefficient_group(
 
 def pi_with_coefficients(g: LieGroupId, i: int, p: int, r: int) -> CoefficientGroup:
     """pi_i(G; Z_{p^r}) for p >= 5, via tensor and Tor with Z_{p^r}."""
-    _check_prime_ge5(p)
+    plocal_valuation(None, p)
     if r < 0:
         raise ValueError("r must be nonnegative")
     return _coefficient_group(g, i, p**r, default_table())
@@ -407,7 +391,7 @@ def pi0_unpointed_gauge_m0(g: LieGroupId, l: int) -> AbGroup:
     the selftest grid, not an input here.
     """
     require_pi6_zero(g)
-    if l % 12 != 0:
+    if twist_class(l) != 0:
         raise OutOfScopeError(
             "the component table applies to l = 0 (mod 12) only"
         )
@@ -467,9 +451,7 @@ def _parse_locality(locality: str | int) -> str | int:
     if locality in ("integral", "rational"):
         return locality
     if isinstance(locality, int):
-        if not is_prime(locality):
-            raise ValueError(f"locality prime {locality} is not prime")
-        return locality
+        return Prime(locality).value
     raise ValueError(f"locality must be 'integral', 'rational' or a prime")
 
 

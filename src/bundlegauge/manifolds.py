@@ -38,6 +38,7 @@ __all__ = [
     "suspension_plocal",
     "cofibre_of_bottom_cell",
     "twist_class",
+    "plocal_valuation",
 ]
 
 
@@ -109,7 +110,7 @@ def is_homotopy_equivalent(a: ManifoldSpec, b: ManifoldSpec) -> EquivalenceDecis
         return EquivalenceDecision(True, "both are homotopy equivalent to S^7",
                                    "s7-identification")
     if a.m == 0:
-        ok = (a.l - b.l) % 12 == 0 or (a.l + b.l) % 12 == 0
+        ok = twist_class(a.l) == twist_class(b.l)
         verdict = "" if ok else "no "
         return EquivalenceDecision(
             ok,
@@ -167,20 +168,28 @@ def suspension(spec: ManifoldSpec) -> SpaceExpr:
     return wedge(y_cofiber(t, suspended=True), sphere(5))
 
 
-def suspension_plocal(spec: ManifoldSpec, p: int | Prime) -> SpaceExpr:
+def plocal_valuation(m: int | None, p: int) -> int:
+    """v_p(m), once the hypotheses of the p-local statements hold: p is a
+    prime >= 5 and the base has torsion, m >= 2.  With m None only p is
+    checked, and the valuation reads 0.
+    """
+    p = Prime(p).value
+    if p < 5:
+        raise OutOfScopeError(f"p-local statements here require p >= 5, got {p}")
+    if m is None:
+        return 0
+    if m < 2:
+        raise OutOfScopeError("p-local statements here apply to m >= 2 only")
+    return vp(m, p)
+
+
+def suspension_plocal(spec: ManifoldSpec, p: int) -> SpaceExpr:
     """p-local suspension splitting P^5(p^r) v S^8 for m >= 2, p >= 5.
 
     Here r is the p-adic valuation of m; for r = 0 the Moore summand is
     contractible and only S^8 remains.
     """
-    p = int(Prime(p)) if isinstance(p, int) else int(p)
-    if p < 5:
-        raise OutOfScopeError("the p-local suspension splitting needs p >= 5")
-    if spec.m < 2:
-        raise OutOfScopeError(
-            "p-local suspension splitting applies to m >= 2 only"
-        )
-    r = vp(spec.m, p)
+    r = plocal_valuation(spec.m, p)
     return localized(p, wedge(moore(5, p**r), sphere(8)))
 
 

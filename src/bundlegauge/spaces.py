@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .abelian import is_prime
+from .abelian import Prime
 from .tables import LieGroupId
 
 __all__ = [
@@ -286,8 +286,7 @@ def wedge(*summands: SpaceExpr) -> SpaceExpr:
 
 def localized(p: int, inner: SpaceExpr) -> SpaceExpr:
     """Tag an expression as p-local.  Idempotent at the same prime."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    Prime(p)
     if inner.kind == "point":
         return POINT
     if inner.kind == "localized":

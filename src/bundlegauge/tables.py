@@ -40,6 +40,13 @@ ENV_TABLE_PATH = "BUNDLEGAUGE_TABLES"
 _FAMILIES = ("SU", "Sp", "Spin", "G2", "F4", "E6", "E7", "E8")
 _MIN_RANK = {"SU": 2, "Sp": 1, "Spin": 5}
 
+# The one grammar of table keys and group tokens: a group with a rank,
+# SU4 or SU(4) (groups 1-3); a family key, SU(n):n>=5 (groups 1 and 4);
+# an exceptional group (5); a sphere, S3 (6).
+_KEY = re.compile(
+    r"(SU|Sp|Spin)(?:(\d+)|\((\d+)\)|\(n\):n>=(\d+))|(G2|F4|E6|E7|E8)|S(\d+)"
+)
+
 
 class LieGroupId(namedtuple("LieGroupId", "family n")):
     """A simply connected simple compact Lie group: family plus rank.
@@ -68,13 +75,10 @@ class LieGroupId(namedtuple("LieGroupId", "family n")):
     @classmethod
     def parse(cls, token: str) -> "LieGroupId":
         """Accepts compact tokens (SU4, Sp2, Spin8, E7) and SU(4) forms."""
-        token = token.strip()
-        m = re.match(r"^(SU|Sp|Spin)(?:(\d+)|\((\d+)\))$", token)
-        if m:
-            return cls(m.group(1), int(m.group(2) or m.group(3)))
-        if token in ("G2", "F4", "E6", "E7", "E8"):
-            return cls(token)
-        raise ValueError(f"cannot parse Lie group token {token!r}")
+        m = _KEY.fullmatch(token.strip())
+        if m is None or m[4] or m[6]:
+            raise ValueError(f"cannot parse Lie group token {token!r}")
+        return _group_of(m)
 
     def canonical(self) -> "LieGroupId":
         """Alias resolution: Sp(1)->SU(2), Spin(5)->Sp(2), Spin(6)->SU(4)."""
@@ -116,8 +120,9 @@ def _lie_key(g: LieGroupId) -> str:
     return "S3" if c == ("SU", 2) else c.token()
 
 
-_FAMILY_KEY = re.compile(r"^(SU|Sp|Spin)\(n\):n>=(\d+)$")
-_EXACT_KEY = re.compile(r"^(?:S\d+|(SU|Sp|Spin)(\d+)|G2|F4|E6|E7|E8)$")
+def _group_of(m: re.Match) -> LieGroupId:
+    """The group that a key match names with a rank or as exceptional."""
+    return LieGroupId(m[5]) if m[5] else LieGroupId(m[1], int(m[2] or m[3]))
 
 
 def _parse_record(line: str) -> TableRecord:
@@ -131,45 +136,33 @@ def _parse_record(line: str) -> TableRecord:
     group = parse_group(group_s)
     if not group.is_integral:
         raise ValueError(f"table entries must be integral: {line!r}")
-    fam = _FAMILY_KEY.match(key)
-    if fam:
-        return TableRecord(fam.group(1), int(fam.group(2)), key, degree, group, source)
-    exact = _EXACT_KEY.match(key)
-    if exact:
-        if exact.group(1):  # a family with a rank, where the aliases live
-            canonical = _lie_key(LieGroupId(exact.group(1), int(exact.group(2))))
-            if canonical != key:
-                raise ValueError(
-                    f"table key {key} is an alias: key its rows {canonical}"
-                )
-        return TableRecord(None, None, key, degree, group, source)
-    raise ValueError(f"unrecognized table key {key!r}")
+    m = _KEY.fullmatch(key)
+    if m is None:
+        raise ValueError(f"unrecognized table key {key!r}")
+    if m[4]:
+        return TableRecord(m[1], int(m[4]), key, degree, group, source)
+    # A key is refused unless a lookup reads it as written.
+    read_as = f"S{int(m[6])}" if m[6] else _lie_key(_group_of(m))
+    if read_as != key:
+        raise ValueError(f"table key {key} is an alias: key its rows {read_as}")
+    return TableRecord(None, None, key, degree, group, source)
 
 
 class PiTable:
     """Immutable lookup table keyed by (space, degree).
 
-    Exact records win over family records; among family records the one
-    with the largest validity bound not exceeding the rank applies.
+    Exact records win over family records, and a family record applies
+    from its bound up.  Each key or family has one record per degree.
     """
 
     def __init__(self, records: list[TableRecord]):
         self._records = tuple(records)
-        self._exact: dict[tuple[str, int], TableRecord] = {}
-        self._family: dict[tuple[str, int], list[TableRecord]] = {}
+        self._rows: dict[tuple[str, int], TableRecord] = {}
         for rec in records:
-            if rec.family is None:
-                slot = (rec.key, rec.degree)
-                if slot in self._exact:
-                    raise ValueError(f"duplicate table entry for {slot}")
-                self._exact[slot] = rec
-            else:
-                self._family.setdefault((rec.family, rec.degree), []).append(rec)
-        for recs in self._family.values():
-            bounds = [r.min_n for r in recs]
-            if len(bounds) != len(set(bounds)):
-                raise ValueError("duplicate family bound in table")
-            recs.sort(key=lambda r: -(r.min_n or 0))
+            slot = (rec.family or rec.key, rec.degree)
+            if slot in self._rows:
+                raise ValueError(f"duplicate table entry for {slot}")
+            self._rows[slot] = rec
 
     @property
     def records(self) -> tuple[TableRecord, ...]:
@@ -196,7 +189,7 @@ class PiTable:
     def sphere_record(self, n: int, i: int) -> TableRecord:
         if n < 1 or i < 0:
             raise ValueError("sphere lookup needs n >= 1, i >= 0")
-        rec = self._exact.get((f"S{n}", i))
+        rec = self._rows.get((f"S{n}", i))
         if rec is None:
             raise UnknownValueError(f"no table entry for pi_{i}(S^{n})")
         return rec
@@ -204,15 +197,15 @@ class PiTable:
     def lie_record(self, g: LieGroupId, i: int) -> TableRecord:
         if i < 0:
             raise ValueError("degree must be nonnegative")
-        rec = self._exact.get((_lie_key(g), i))
-        if rec is not None:
-            return rec
-        c = g.canonical()
-        if c.n is not None:
-            for fam_rec in self._family.get((c.family, i), []):
-                if fam_rec.min_n is not None and c.n >= fam_rec.min_n:
-                    return fam_rec
-        raise UnknownValueError(f"no table entry for pi_{i}({g})")
+        rec = self._rows.get((_lie_key(g), i))
+        if rec is None:
+            # An exceptional group has no family row, so a row found
+            # here is one with a bound.
+            c = g.canonical()
+            rec = self._rows.get((c.family, i))
+            if rec is None or c.n < rec.min_n:
+                raise UnknownValueError(f"no table entry for pi_{i}({g})")
+        return rec
 
     def sphere(self, n: int, i: int) -> AbGroup:
         return self.sphere_record(n, i).group
