@@ -8,7 +8,9 @@ Family-parameterized records such as ``Sp(n):n>=2 | 4 | Z_2 | ...``
 carry an explicit validity range on the rank parameter.  The classical
 coincidences SU(2) = Sp(1) = S^3, Spin(5) = Sp(2) and Spin(6) = SU(4)
 resolve to a single canonical key each (S3, Sp2, SU4), so the data is
-maintained once; a row keyed by an alias is refused.
+maintained once; a row keyed by an alias is refused, and so is a family
+row whose bound reaches an alias rank (family rows start at SU(3), Sp(2)
+and Spin(7)).
 """
 
 from __future__ import annotations
@@ -125,6 +127,15 @@ def _group_of(m: re.Match) -> LieGroupId:
     return LieGroupId(m[5]) if m[5] else LieGroupId(m[1], int(m[2] or m[3]))
 
 
+@lru_cache(maxsize=None)
+def _first_own_rank(family: str) -> int:
+    """The least rank of a family whose rows are its own, not an alias's."""
+    n = _MIN_RANK[family]
+    while _lie_key(LieGroupId(family, n)) != f"{family}{n}":
+        n += 1
+    return n
+
+
 def _parse_record(line: str) -> TableRecord:
     fields = [f.strip() for f in line.split("|")]
     if len(fields) != 4:
@@ -140,7 +151,12 @@ def _parse_record(line: str) -> TableRecord:
     if m is None:
         raise ValueError(f"unrecognized table key {key!r}")
     if m[4]:
-        return TableRecord(m[1], int(m[4]), key, degree, group, source)
+        bound, first = int(m[4]), _first_own_rank(m[1])
+        if bound < first:
+            raise ValueError(
+                f"family key {key} covers alias ranks: start it at n>={first}"
+            )
+        return TableRecord(m[1], bound, key, degree, group, source)
     # A key is refused unless a lookup reads it as written.
     read_as = f"S{int(m[6])}" if m[6] else _lie_key(_group_of(m))
     if read_as != key:

@@ -194,6 +194,22 @@ class TestDataFile:
         with pytest.raises(ValueError, match=f"{alias} is an alias: key its rows {canonical}"):
             PiTable.from_text(f"{alias} | 3 | Z_7 | mine\n")
 
+    @pytest.mark.parametrize(
+        "key,first",
+        [("SU(n):n>=2", 3), ("Sp(n):n>=1", 2), ("Spin(n):n>=5", 7), ("Spin(n):n>=6", 7)],
+    )
+    def test_family_rows_reaching_an_alias_rejected(self, key, first):
+        # The alias rank reads its canonical key's rows, never this one.
+        with pytest.raises(ValueError, match=rf"covers alias ranks: start it at n>={first}"):
+            PiTable.from_text(f"{key} | 3 | Z_7 | mine\n")
+
+    @pytest.mark.parametrize(
+        "key,group", [("SU(n):n>=3", "SU3"), ("Sp(n):n>=2", "Sp2"), ("Spin(n):n>=7", "Spin7")]
+    )
+    def test_family_rows_from_the_first_own_rank_load(self, key, group):
+        table = PiTable.from_text(f"{key} | 3 | Z_7 | mine\n")
+        assert table.lie_record(LieGroupId.parse(group), 3).key == key
+
     def test_env_override(self, tmp_path, monkeypatch):
         alt = tmp_path / "tiny.txt"
         alt.write_text("S3 | 6 | Z_12 | test source\n", encoding="utf-8")
