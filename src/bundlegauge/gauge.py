@@ -436,10 +436,10 @@ def pi_pointed_gauge_plocal(
 
 
 class S7Decision(
-    namedtuple("S7Decision", "verdict reason expr rule", defaults=(None, "s7-gcd"))
+    namedtuple("S7Decision", "verdict reason expr rule", defaults=(None, None))
 ):
     """verdict is "equivalent", "not-equivalent" or "out-of-scope"; rule
-    keys tables.RULES, the gcd rule unless the bundle is unique."""
+    keys the tables.RULES row that decided, and is None out of scope."""
 
     __slots__ = ()
 
@@ -465,8 +465,10 @@ def s7_gauge_equivalent(
 
     The decisions follow the gcd criteria: SU(2) = Sp(1) integrally,
     G2 rationally or at any prime, SU(3) rationally or at primes >= 3.
-    Localizations the criteria do not reach return out-of-scope.  Groups
-    with pi_6 = 0 carry a single bundle and are trivially equivalent.
+    Localizations the criteria do not reach return out-of-scope, and so
+    does any other group with pi_6 != 0, which only an override table can
+    give.  Groups with pi_6 = 0 carry a single bundle and are trivially
+    equivalent.
     """
     locality = _parse_locality(locality)
     order = pi6(g).order()
@@ -488,11 +490,12 @@ def s7_gauge_equivalent(
     if c == LieGroupId("SU", 2):
         if locality == "integral":
             verdict = "equivalent" if same else "not-equivalent"
-            return S7Decision(verdict, f"{gcd_text} (integral criterion)")
+            return S7Decision(verdict, f"{gcd_text} (integral criterion)", rule="s7-gcd")
         if same:
             return S7Decision(
                 "equivalent",
                 f"{gcd_text}; integral equivalence localizes",
+                rule="s7-gcd",
             )
         return S7Decision(
             "out-of-scope",
@@ -506,9 +509,10 @@ def s7_gauge_equivalent(
             )
         verdict = "equivalent" if same else "not-equivalent"
         return S7Decision(
-            verdict, f"{gcd_text} (rational or any-prime criterion)"
+            verdict, f"{gcd_text} (rational or any-prime criterion)", rule="s7-gcd"
         )
-    # Remaining case: SU(3), the only other group with pi_6 != 0.
+    if c != LieGroupId("SU", 3):
+        return S7Decision("out-of-scope", f"no gcd rule over S^7 is known for {g}")
     if locality == "integral":
         return S7Decision(
             "out-of-scope",
@@ -521,7 +525,7 @@ def s7_gauge_equivalent(
         )
     verdict = "equivalent" if same else "not-equivalent"
     return S7Decision(
-        verdict, f"{gcd_text} (rational or p >= 3 criterion)"
+        verdict, f"{gcd_text} (rational or p >= 3 criterion)", rule="s7-gcd"
     )
 
 

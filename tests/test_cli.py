@@ -203,6 +203,17 @@ class TestGaugeCommands:
         assert result.exit_code == EXIT_OUT_OF_SCOPE
 
     @pytest.mark.parametrize(
+        "group,locality", [("G2", "integral"), ("SU2", "5"), ("SU3", "2")]
+    )
+    def test_equiv_s7_refusal_names_no_rule(self, group, locality):
+        result = run(
+            ["--json", "gauge", "equiv-s7", "--group", group, "--k", "0", "--kp", "1",
+             "--locality", locality]
+        )
+        assert result.exit_code == EXIT_OUT_OF_SCOPE
+        assert (result.payload["theorem"], result.payload["citations"]) == (None, [])
+
+    @pytest.mark.parametrize(
         "argv,flag",
         [
             ("gauge decompose --group SU4 --l 0 --m 0 --looped", "--looped"),

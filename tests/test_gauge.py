@@ -354,6 +354,16 @@ class TestS7Equivalence:
         with pytest.raises(ValueError):
             s7_gauge_equivalent(SU2, 0, 1, 6)
 
+    def test_no_rule_for_other_groups_with_pi6_nonzero(self, tmp_path, monkeypatch):
+        # Only an override table gives a group other than SU(2), SU(3)
+        # and G2 a nonzero pi_6; no gcd rule covers it.
+        alt = tmp_path / "su4.txt"
+        alt.write_text("SU4 | 6 | Z_2 | test\n", encoding="utf-8")
+        monkeypatch.setenv("BUNDLEGAUGE_TABLES", str(alt))
+        for locality in ("integral", "rational", 2, 5):
+            decision = s7_gauge_equivalent(SU4, 0, 1, locality)
+            assert (decision.verdict, decision.rule) == ("out-of-scope", None), locality
+
 
 class TestSu5Rule:
     def test_equal_gcds(self):

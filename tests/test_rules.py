@@ -66,9 +66,11 @@ def _library_rules() -> set[str]:
 
     def attempt(call):
         try:
-            rules.add(call().rule)
+            result = call()
         except (BundleGaugeError, ValueError):
-            pass  # a refusal carries no rule
+            return  # a refusal carries no rule
+        if getattr(result, "verdict", None) != "out-of-scope":  # nor does this one
+            rules.add(result.rule)
 
     specs = [normalize(l, m) for l in range(-3, 4) for m in (0, 1, 2, 5, 12)]
     for a in specs:
