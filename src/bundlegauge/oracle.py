@@ -477,7 +477,8 @@ def homology_of(complex: ChainComplex) -> tuple[AbGroup, ...]:
     return tuple(results)
 
 
-# Missing boundaries are built as dense zero matrices, so a short
+# Missing boundaries are built as dense zero matrices, and homology_of
+# adds a zero map at each end and renders every free rank, so a short
 # cells: line could otherwise imply far more work than its file holds.
 MAX_BOUNDARY_ENTRIES = 2 * 10**7
 
@@ -489,8 +490,8 @@ def parse_complex(text: str) -> ChainComplex:
     ``boundary N:`` block per nonzero boundary, holding cells[N-1] rows
     of cells[N] integers.  Lines starting with ``#`` are comments.  A
     second ``cells:`` line or a second block for the same N is refused,
-    and so are cell counts whose boundaries hold more than
-    MAX_BOUNDARY_ENTRIES entries in all.
+    and so are cell counts that, with the entries of their boundaries,
+    come to more than MAX_BOUNDARY_ENTRIES.
 
     >>> cx = parse_complex('''
     ... cells: 1 0 0 1 1 0 0 1
@@ -530,10 +531,10 @@ def parse_complex(text: str) -> ChainComplex:
                 raise ValueError("cells: line has no counts")
             if any(c < 0 for c in cells):
                 raise ValueError("cell counts must be nonnegative")
-            entries = sum(a * b for a, b in zip(cells, cells[1:]))
+            entries = sum(cells) + sum(a * b for a, b in zip(cells, cells[1:]))
             if entries > MAX_BOUNDARY_ENTRIES:
                 raise ValueError(
-                    f"the cell counts imply {entries} boundary entries, "
+                    f"the cell counts imply {entries} cells and boundary entries, "
                     f"over the limit of {MAX_BOUNDARY_ENTRIES}"
                 )
             continue

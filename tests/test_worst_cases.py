@@ -229,17 +229,19 @@ def test_zero_boundaries_within_budget(tmp_path):
 
 
 def test_zero_boundaries_beyond_the_limit_are_refused(tmp_path, monkeypatch):
-    # 2*10^10 implied entries, more than memory holds.  Building a zero
-    # boundary fails the test at once, so a refusal that comes too late
-    # cannot exhaust memory.
+    # 2*10^10 implied entries, more than memory holds; and 10^9 cells in
+    # one degree, whose zero end maps homology_of would build.  Building a
+    # zero boundary fails the test at once, so a refusal that comes too
+    # late cannot exhaust memory.
     def no_zero_matrix(cls, rows, cols):
         raise AssertionError(f"built a {rows}x{cols} zero boundary")
 
     monkeypatch.setattr(IntMatrix, "zero", classmethod(no_zero_matrix))
     path = tmp_path / "huge.txt"
-    path.write_text("cells: 100000 100000 100000\n", encoding="utf-8")
-    argv = ["--json", "oracle", "homology", "--complex", str(path)]
-    result, seconds = timed(run, argv)
-    assert result.exit_code == EXIT_USAGE
-    assert "limit of 20000000" in result.payload["error"]
-    assert seconds < 0.1
+    for cells in ("100000 100000 100000", "1000000000"):
+        path.write_text(f"cells: {cells}\n", encoding="utf-8")
+        argv = ["--json", "oracle", "homology", "--complex", str(path)]
+        result, seconds = timed(run, argv)
+        assert result.exit_code == EXIT_USAGE, cells
+        assert "limit of 20000000" in result.payload["error"]
+        assert seconds < 0.1
