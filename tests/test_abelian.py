@@ -304,3 +304,16 @@ class TestAlgebraProperties:
     @given(st.integers(0, 5), st.integers(2, 60))
     def test_tor_of_free_vanishes(self, rank, q):
         assert tor_with_cyclic(make_group(rank, []), q).is_trivial
+
+
+@pytest.mark.parametrize(
+    "build,fragment",
+    [
+        (lambda: AbGroup(0, (1,)), "invariant factor 1 < 2"),
+        (lambda: AbGroup(0, (4,), 4), "4 is not prime"),
+        (lambda: AbGroup(0, (6,), 5), "factor in a 5-local group is not a power of 5"),
+    ],
+)
+def test_raw_constructor_refusals(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()

@@ -430,3 +430,17 @@ class TestComplexParsing:
     def test_repeated_cells_line_rejected(self):
         with pytest.raises(ValueError, match="repeated cells: line: 'cells: 1 1 1'"):
             parse_complex("cells: 1 1\ncells: 1 1 1\nboundary 2:\n2\n")
+
+
+@pytest.mark.parametrize(
+    "build,fragment",
+    [
+        (lambda: IntMatrix(-1, 0, ()), "negative matrix dimensions"),
+        (lambda: IntMatrix.from_rows([[1, 2]]).mul(IntMatrix.from_rows([[1, 2]])),
+         "dimension mismatch in matrix product"),
+        (lambda: ChainComplex((1, 1), ()), "need one boundary matrix per positive degree"),
+    ],
+)
+def test_shape_refusals(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()

@@ -122,3 +122,16 @@ class TestValidation:
             map_star_y(7, SU4)
         with pytest.raises(ValueError):
             y_cofiber(-1)
+
+
+@pytest.mark.parametrize(
+    "build,fragment",
+    [
+        (lambda: loop(0, sphere(3)), "loop degree must be >= 1"),
+        (lambda: mod_loop(0, SU4, 5), "mod loop space needs n >= 1"),
+        (lambda: localized(4, sphere(3)), "4 is not prime"),
+    ],
+)
+def test_constructor_refusals(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()

@@ -310,3 +310,24 @@ class TestDataFile:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert json.loads(proc.stdout)["result"]["set"] == "Z_5"
+
+
+@pytest.mark.parametrize(
+    "build,fragment",
+    [
+        (lambda: LieGroupId("SU"), "SU requires a rank parameter"),
+        (lambda: PiTable.from_text("S3 | -1 | 0 | x\n"), "negative degree in table line"),
+        (lambda: PiTable.from_text("S3 | 3 | Z_25 @ (5) | x\n"),
+         "table entries must be integral"),
+        # A key is loaded only when a lookup reads it as written.
+        (lambda: PiTable.from_text("S03 | 3 | Z | x\n"), "S03 is an alias: key its rows S3"),
+        (lambda: PiTable.from_text("SU(4) | 3 | Z | x\n"),
+         r"SU\(4\) is an alias: key its rows SU4"),
+        (lambda: default_table().sphere_record(3, -1), "sphere lookup needs n >= 1, i >= 0"),
+        (lambda: default_table().lie_record(LieGroupId("SU", 4), -1),
+         "degree must be nonnegative"),
+    ],
+)
+def test_refusals(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()
