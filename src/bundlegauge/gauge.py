@@ -490,7 +490,9 @@ def s7_gauge_equivalent(
     if c == LieGroupId("SU", 2):
         if locality == "integral":
             verdict = "equivalent" if same else "not-equivalent"
-            return S7Decision(verdict, f"{gcd_text} (integral criterion)", rule="s7-gcd")
+            return S7Decision(
+                verdict, f"{gcd_text} (integral criterion)", rule="s7-gcd"
+            )
         if same:
             return S7Decision(
                 "equivalent",

@@ -286,7 +286,7 @@ def wedge(*summands: SpaceExpr) -> SpaceExpr:
 
 def localized(p: int, inner: SpaceExpr) -> SpaceExpr:
     """Tag an expression as p-local.  Idempotent at the same prime."""
-    Prime(p)
+    Prime(p)  # refuses a p that is not prime
     if inner.kind == "point":
         return POINT
     if inner.kind == "localized":

@@ -215,8 +215,8 @@ class PiTable:
             raise ValueError("degree must be nonnegative")
         rec = self._rows.get((_lie_key(g), i))
         if rec is None:
-            # An exceptional group has no family row, so a row found
-            # here is one with a bound.
+            # For an exceptional group this is the exact slot just
+            # missed, so a row found here is a family row with a bound.
             c = g.canonical()
             rec = self._rows.get((c.family, i))
             if rec is None or c.n < rec.min_n:
