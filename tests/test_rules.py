@@ -69,7 +69,7 @@ def _library_rules() -> set[str]:
             result = call()
         except (BundleGaugeError, ValueError):
             return  # a refusal carries no rule
-        if getattr(result, "verdict", None) != "out-of-scope":  # nor does this one
+        if getattr(result, "verdict", None) != "out-of-scope":  # a refusal too
             rules.add(result.rule)
 
     specs = [normalize(l, m) for l in range(-3, 4) for m in (0, 1, 2, 5, 12)]
