@@ -4,9 +4,9 @@ A group is stored in canonical form: a free rank plus a chain of
 invariant factors d_1 | d_2 | ... | d_s with every d_i >= 2.  Two groups
 are isomorphic exactly when their canonical forms are equal, so
 isomorphism testing is structural equality.  The chain is reached by
-gcd/lcm exchange and primality is decided by deterministic Miller-Rabin,
-so no routine here factors an integer, and no cost depends on the prime
-factors of the input.
+gcd/lcm exchange, and primality by Miller-Rabin over the fewest prime
+bases proven for the size of n, so no routine here factors an integer,
+and no cost depends on the prime factors of the input.
 
 A group may carry a localization tag "local at p".  Every torsion factor
 of a p-local group is a power of p, and free summands print as Z_(p)
@@ -44,18 +44,23 @@ __all__ = [
 ]
 
 
-# The first 13 primes are a complete strong-pseudoprime witness set for
-# every n below _MR_LIMIT (Sorenson and Webster, 2015).
+# psi_k = _PSI[k - 1] is the least strong pseudoprime to the first k prime
+# bases, so those k bases decide every n < psi_k (Jaeschke 1993; Jiang and
+# Deng 2014; Sorenson and Webster 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461,
+        3317044064679887385961981)
+_MR_LIMIT = _PSI[-1]
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin test, exact for every n < 3.3 * 10**24.
 
-    Multiples of a witness base are answered at once.  Any other n at or
-    above 3,317,044,064,679,887,385,961,981 raises ValueError: no
-    probable answer is ever returned.
+    Multiples of a base are answered at once, and otherwise the first k
+    bases decide any n < psi_k.  At or above psi_13 = 3.3 * 10**24 the
+    test raises ValueError: no probable answer is ever returned.
 
     >>> is_prime(100000000000000003)
     True
@@ -76,16 +81,17 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a, psi in zip(_MR_BASES, _PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:  # the bases so far decide every n < psi
+            break
     return True
 
 
@@ -106,10 +112,8 @@ class Prime(namedtuple("Prime", "value")):
         return str(self.value)
 
 
-def _as_prime(p: int | Prime) -> int:
-    if isinstance(p, Prime):
-        return p.value
-    return Prime(p).value
+def _as_prime(p: int | Prime) -> Prime:
+    return p if isinstance(p, Prime) else Prime(p)
 
 
 def _invariant_factors(torsion: list[int]) -> tuple[int, ...]:
@@ -145,7 +149,7 @@ class AbGroup(namedtuple("AbGroup", "free_rank invariant_factors local_prime")):
         cls,
         free_rank: int,
         invariant_factors: tuple[int, ...],
-        local_prime: int | None = None,
+        local_prime: int | Prime | None = None,
     ) -> AbGroup:
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
@@ -157,7 +161,7 @@ class AbGroup(namedtuple("AbGroup", "free_rank invariant_factors local_prime")):
                 raise ValueError(f"{invariant_factors} is not a divisibility chain")
             prev = d
         if local_prime is not None:
-            p = Prime(local_prime).value
+            p = local_prime = _as_prime(local_prime).value
             if free_rank == 0 and not invariant_factors:
                 raise ValueError("the trivial group is stored integral")
             for d in invariant_factors:
@@ -231,7 +235,9 @@ def make_group(free_rank: int, torsion: list[int] | tuple[int, ...]) -> AbGroup:
     return AbGroup(free_rank, _invariant_factors(list(torsion)))
 
 
-def _build(free_rank: int, torsion: list[int], local_prime: int | None) -> AbGroup:
+def _build(
+    free_rank: int, torsion: list[int], local_prime: int | Prime | None
+) -> AbGroup:
     """Internal canonical builder: drops unit factors, normalizes locality."""
     torsion = [d for d in torsion if d > 1]
     if free_rank == 0 and not torsion:
@@ -295,7 +301,7 @@ def vp(m: int, p: int | Prime) -> int:
     >>> vp(7, 5)
     0
     """
-    p = _as_prime(p)
+    p = _as_prime(p).value
     if m < 1:
         raise ValueError("vp is defined here only for m >= 1")
     e = 0
@@ -316,19 +322,16 @@ def localize(a: AbGroup, p: int | Prime) -> AbGroup:
     >>> localize(make_group(0, [12]), 5).is_trivial
     True
     """
-    p = _as_prime(p)
+    prime = _as_prime(p)
+    p = prime.value
     if a.local_prime is not None:
         if a.local_prime == p:
             return a
         raise LocalityError(
             f"group is already local at {a.local_prime}, cannot localize at {p}"
         )
-    torsion = []
-    for d in a.invariant_factors:
-        e = vp(d, p)
-        if e > 0:
-            torsion.append(p**e)
-    return _build(a.free_rank, torsion, p)
+    torsion = [p ** vp(d, prime) for d in a.invariant_factors]
+    return _build(a.free_rank, torsion, prime)
 
 
 def _tensor_modulus(a: AbGroup, q: int) -> int:

@@ -163,7 +163,8 @@ def decompose_plocal(
 ) -> DecompositionResult:
     """p-local decompositions for bases with torsion, p >= 5."""
     require_pi6_zero(g)
-    r = plocal_valuation(m, p)
+    prime = Prime(p)
+    r = plocal_valuation(m, prime)
     k = k % m
 
     if pointed:
@@ -175,11 +176,11 @@ def decompose_plocal(
                     "whether pointed gauge groups of different classes agree "
                     "for m >= 2 is open; only the looped statement covers k != 0"
                 )
-            expr = localized(p, product(mod_loop(3, g, p**r), loop(7, lie(g))))
+            expr = localized(prime, product(mod_loop(3, g, p**r), loop(7, lie(g))))
             return DecompositionResult(
                 expr, (), "plocal-pointed", f"G*^0(M({l},{m}))"
             )
-        expr = localized(p, product(mod_loop(4, g, p**r), loop(8, lie(g))))
+        expr = localized(prime, product(mod_loop(4, g, p**r), loop(8, lie(g))))
         return DecompositionResult(
             expr,
             (),
@@ -195,13 +196,13 @@ def decompose_plocal(
             raise OutOfScopeError(
                 "for v_p(m) = 0 only the trivial class k = 0 is covered"
             )
-        expr = localized(p, product(loop(7, lie(g)), lie(g)))
+        expr = localized(prime, product(loop(7, lie(g)), lie(g)))
         return DecompositionResult(
             expr, (), "plocal-trivial", f"G^0(M({l},{m}))"
         )
     if k % p**r == 0:
         expr = localized(
-            p,
+            prime,
             product(
                 loop(8, lie(g), component0=True),
                 loop(1, lie(g)),
@@ -214,7 +215,7 @@ def decompose_plocal(
         )
     else:
         expr = localized(
-            p, product(loop(8, lie(g), component0=True), x_fiber(g, m, k))
+            prime, product(loop(8, lie(g), component0=True), x_fiber(g, m, k))
         )
         caveats = (
             f"X_{k} is known only as the total space of a fibration "

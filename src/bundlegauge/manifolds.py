@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .abelian import AbGroup, Prime, TRIVIAL, Z, make_group, vp
+from .abelian import AbGroup, Prime, TRIVIAL, Z, _as_prime, make_group, vp
 from .errors import OutOfScopeError
 from .spaces import SpaceExpr, localized, moore, sphere, wedge, y_cofiber
 
@@ -168,13 +168,13 @@ def suspension(spec: ManifoldSpec) -> SpaceExpr:
     return wedge(y_cofiber(t, suspended=True), sphere(5))
 
 
-def plocal_valuation(m: int | None, p: int) -> int:
+def plocal_valuation(m: int | None, p: int | Prime) -> int:
     """v_p(m), once the hypotheses of the p-local statements hold: p is a
     prime >= 5 and the base has torsion, m >= 2.  With m None only p is
     checked, and the valuation reads 0.
     """
-    p = Prime(p).value
-    if p < 5:
+    p = _as_prime(p)
+    if p.value < 5:
         raise OutOfScopeError(f"p-local statements here require p >= 5, got {p}")
     if m is None:
         return 0
@@ -189,8 +189,9 @@ def suspension_plocal(spec: ManifoldSpec, p: int) -> SpaceExpr:
     Here r is the p-adic valuation of m; for r = 0 the Moore summand is
     contractible and only S^8 remains.
     """
-    r = plocal_valuation(spec.m, p)
-    return localized(p, wedge(moore(5, p**r), sphere(8)))
+    prime = Prime(p)
+    r = plocal_valuation(spec.m, prime)
+    return localized(prime, wedge(moore(5, p**r), sphere(8)))
 
 
 def cofibre_of_bottom_cell(spec: ManifoldSpec) -> SpaceExpr:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .abelian import Prime
+from .abelian import Prime, _as_prime
 from .tables import LieGroupId
 
 __all__ = [
@@ -284,9 +284,9 @@ def wedge(*summands: SpaceExpr) -> SpaceExpr:
     return _connect("wedge", summands)
 
 
-def localized(p: int, inner: SpaceExpr) -> SpaceExpr:
+def localized(p: int | Prime, inner: SpaceExpr) -> SpaceExpr:
     """Tag an expression as p-local.  Idempotent at the same prime."""
-    Prime(p)  # refuses a p that is not prime
+    p = _as_prime(p).value  # an int is checked here, a Prime already was
     if inner.kind == "point":
         return POINT
     if inner.kind == "localized":

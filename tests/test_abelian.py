@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bundlegauge.abelian import (
+    _MR_BASES,
     TRIVIAL,
     AbGroup,
     Prime,
@@ -191,6 +192,15 @@ class TestPrime:
                 Prime(bad)
 
 
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """The strong Fermat test of odd n to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2**j, n) == n - 1 for j in range(s))
+
+
 class TestIsPrime:
     def test_agrees_with_a_sieve_below_1e5(self):
         n = 100_000
@@ -214,6 +224,42 @@ class TestIsPrime:
         # only the bases 11, 37 and 41 respectively expose them.
         assert math.prod(factors) == n
         assert not is_prime(n)
+
+    # Each distinct psi_k below the limit, with the largest k it belongs
+    # to and its factors (Jaeschke 1993; Jiang and Deng 2014).
+    @pytest.mark.parametrize(
+        "psi,k,factors",
+        [
+            (2047, 1, (23, 89)),
+            (1373653, 2, (829, 1657)),
+            (25326001, 3, (2251, 11251)),
+            (3215031751, 4, (151, 751, 28351)),
+            (2152302898747, 5, (6763, 10627, 29947)),
+            (3474749660383, 6, (1303, 16927, 157543)),
+            (341550071728321, 8, (10670053, 32010157)),
+            (3825123056546413051, 11, (149491, 747451, 34233211)),
+            (318665857834031151167461, 12, (399165290221, 798330580441)),
+        ],
+    )
+    def test_each_witness_bound_is_composite(self, psi, k, factors):
+        # psi passes the first k bases, so a table that let those bases
+        # decide it would call it prime.
+        assert math.prod(factors) == psi
+        for a in _MR_BASES[:k]:
+            assert _strong_probable_prime(psi, a), a
+        assert not _strong_probable_prime(psi, _MR_BASES[k])
+        assert not is_prime(psi)
+
+    @pytest.mark.parametrize("psi", [1373653, 25326001, 3215031751])
+    def test_agrees_with_trial_division_around_a_witness_bound(self, psi):
+        lo, hi = psi - 10**4, psi + 10**4 + 1
+        composite = bytearray(hi - lo)
+        for d in range(2, math.isqrt(hi) + 1):
+            for n in range(max(d * d, -(-lo // d) * d), hi, d):
+                composite[n - lo] = 1
+        assert [n for n in range(lo, hi) if is_prime(n)] == [
+            n for n in range(lo, hi) if not composite[n - lo]
+        ]
 
     def test_large_prime_answered(self):
         assert is_prime(1_000_000_000_000_000_003)

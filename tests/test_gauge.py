@@ -1,5 +1,6 @@
 import pytest
 
+from bundlegauge import abelian
 from bundlegauge.abelian import localize, make_group
 from bundlegauge.bundles import reduce_class
 from bundlegauge.errors import OutOfScopeError, UnknownValueError
@@ -20,7 +21,7 @@ from bundlegauge.gauge import (
     s7_gauge_equivalent,
     su5_gauge_equivalent_m0,
 )
-from bundlegauge.manifolds import normalize
+from bundlegauge.manifolds import normalize, plocal_valuation, suspension_plocal
 from bundlegauge.spaces import (
     gauge_s4,
     lie,
@@ -30,6 +31,7 @@ from bundlegauge.spaces import (
     mod_loop,
     moore,
     product,
+    sphere,
     x_fiber,
 )
 from bundlegauge.tables import LieGroupId
@@ -437,3 +439,59 @@ class TestRunQuery:
         bundle = reduce_class(SU4, normalize(0, 9), 0)
         with pytest.raises(OutOfScopeError):
             run_query(GaugeQuery(bundle))
+
+
+class TestPrimalityCheckedOncePerQuery:
+    P = 1_000_000_000_039
+
+    @pytest.fixture
+    def tests_run(self, monkeypatch):
+        calls = []
+        real = abelian.is_prime
+        monkeypatch.setattr(abelian, "is_prime", lambda n: calls.append(n) or real(n))
+        return calls
+
+    # pi_of_expr tests p a second time, where it localizes an expression
+    # it did not build.
+    @pytest.mark.parametrize("p,m", [(5, 50), (P, 2 * P)])
+    @pytest.mark.parametrize(
+        "query,most",
+        [
+            (lambda m, p: decompose_plocal(SU4, 0, m, 0, p), 1),
+            (lambda m, p: decompose_plocal(SU4, 0, m, 3, p, True, True), 1),
+            (lambda m, p: suspension_plocal(normalize(0, m), p), 1),
+            (lambda m, p: pi_pointed_gauge_plocal(SU4, m, 0, 1, p), 2),
+            (lambda m, p: pi0_unpointed_gauge_plocal(SU4, m, 0, p), 2),
+        ],
+        ids=["decompose", "decompose-pointed", "suspension", "pi-pointed", "pi0"],
+    )
+    def test_a_query_tests_p_once(self, tests_run, query, most, p, m):
+        query(m, p)
+        assert set(tests_run) == {p}
+        assert len(tests_run) <= most
+
+    @pytest.mark.parametrize("p", [4, 9, 15])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: abelian.vp(50, p),
+            lambda p: localize(make_group(0, [12]), p),
+            lambda p: localized(p, sphere(3)),
+            lambda p: abelian.AbGroup(0, (p,), p),
+            lambda p: plocal_valuation(50, p),
+        ],
+    )
+    def test_an_int_that_is_not_prime_is_refused(self, call, p):
+        with pytest.raises(ValueError) as refused:
+            call(p)
+        assert refused.type is ValueError
+        assert str(refused.value) == f"{p} is not prime"
+
+    def test_a_checked_prime_is_not_tested_again(self, tests_run):
+        five = abelian.Prime(5)
+        tests_run.clear()
+        assert abelian.vp(50, five) == 2
+        assert localize(make_group(1, [50]), five) == localize(make_group(1, [50]), 5)
+        assert localized(five, sphere(3)) == localized(5, sphere(3))
+        assert type(abelian.AbGroup(0, (25,), five).local_prime) is int
+        assert tests_run == [5, 5]  # the two calls that passed an int
