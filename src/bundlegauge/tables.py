@@ -158,6 +158,8 @@ def _parse_record(line: str) -> TableRecord:
             )
         return TableRecord(m[1], bound, key, degree, group, source)
     # A key is refused unless a lookup reads it as written.
+    if m[6] and int(m[6]) < 1:
+        raise ValueError(f"sphere key {key} is never read: spheres start at S1")
     read_as = f"S{int(m[6])}" if m[6] else _lie_key(_group_of(m))
     if read_as != key:
         raise ValueError(f"table key {key} is an alias: key its rows {read_as}")

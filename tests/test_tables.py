@@ -266,6 +266,24 @@ class TestDataFile:
             monkeypatch.delenv("BUNDLEGAUGE_TABLES")
             tables_module._cached_table.cache_clear()
 
+    def test_override_with_a_sphere_below_s1_is_refused(self, tmp_path, monkeypatch):
+        # sphere_record refuses n < 1, so no lookup would ever read the row.
+        from bundlegauge.cli import EXIT_USAGE, run
+
+        alt = tmp_path / "s0.txt"
+        alt.write_text("S0 | 0 | Z_2 | mine\n", encoding="utf-8")
+        monkeypatch.setenv("BUNDLEGAUGE_TABLES", str(alt))
+        tables_module._cached_table.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="sphere key S0 is never read"):
+                default_table()
+            result = run(["tables", "lookup", "--space", "S3", "--i", "3"])
+            assert result.exit_code == EXIT_USAGE
+            assert "sphere key S0" in result.payload["error"]
+        finally:
+            monkeypatch.delenv("BUNDLEGAUGE_TABLES")
+            tables_module._cached_table.cache_clear()
+
     def test_default_table_is_one_object(self):
         assert default_table() is default_table()
 
