@@ -79,6 +79,10 @@ class TestReduceClass:
         bundle = reduce_class(SU4, normalize(0, 1), 25)
         assert bundle.k == 0 and bundle.modulus == 1
 
+    def test_text_names_the_classification_set(self):
+        assert str(reduce_class(SU4, normalize(0, 0), 7)) == "bundle k=7 in Z over M(0,0)"
+        assert str(reduce_class(SU4, normalize(0, 5), 7)) == "bundle k=2 in Z_5 over M(0,5)"
+
     def test_propagates_scope_errors(self):
         with pytest.raises(OutOfScopeError):
             reduce_class(SU2, normalize(0, 5), 3)

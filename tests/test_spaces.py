@@ -66,6 +66,31 @@ class TestCanonicalization:
             localized(6, sphere(8))
 
 
+class TestOrder:
+    EXPRS = [
+        sphere(3),
+        sphere(4),
+        lie(SU4),
+        loop(3, lie(SU4)),
+        localized(5, sphere(3)),
+        moore(5, 25),
+        wedge(sphere(4), sphere(8)),
+    ]
+
+    @pytest.mark.parametrize("a", EXPRS, ids=lambda e: e.render())
+    @pytest.mark.parametrize("b", EXPRS, ids=lambda e: e.render())
+    def test_all_four_comparisons_follow_the_sort_key(self, a, b):
+        ka, kb = a.sort_key(), b.sort_key()
+        assert (a < b, a <= b, a > b, a >= b) == (ka < kb, ka <= kb, ka > kb, ka >= kb)
+
+    def test_tuple_order_would_disagree(self):
+        # A node is a namedtuple, so without its own comparisons "<=" would
+        # compare kind names: "localized" sorts before "loop" as text.
+        a, b = loop(3, lie(SU4)), localized(5, sphere(3))
+        assert a <= b and not tuple.__le__(a, b)
+        assert b >= a and not tuple.__ge__(b, a)
+
+
 class TestRendering:
     @pytest.mark.parametrize(
         "expr,text",
