@@ -465,7 +465,7 @@ class TestPrimalityCheckedOncePerQuery:
         ],
         ids=["decompose", "decompose-pointed", "suspension", "pi-pointed", "pi0"],
     )
-    def test_a_query_tests_p_once(self, tests_run, query, most, p, m):
+    def test_a_query_tests_p_where_it_enters(self, tests_run, query, most, p, m):
         query(m, p)
         assert set(tests_run) == {p}
         assert len(tests_run) <= most
