@@ -18,26 +18,9 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 
+from . import bundles, gauge, manifolds, oracle
 from .abelian import AbGroup
-from .bundles import classify_bundles, projection_induced_map_kind, reduce_class
 from .errors import OutOfScopeError, UnknownValueError
-from .gauge import (
-    GaugeQuery,
-    pi0_unpointed_gauge_m0,
-    pi0_unpointed_gauge_plocal,
-    pi_of_expr,
-    run_query,
-    s7_gauge_equivalent,
-    su5_gauge_equivalent_m0,
-)
-from .manifolds import (
-    homology,
-    is_homotopy_equivalent,
-    normalize,
-    suspension,
-    suspension_plocal,
-)
-from .oracle import complex_for_manifold, homology_of, parse_complex
 from .tables import PI6_MOORE_SOURCE, RULES, LieGroupId, default_table, pi6_moore
 
 EXIT_OK = 0
@@ -112,20 +95,20 @@ def _locality(text: str) -> str | int:
 
 def _cmd_classify(args) -> QueryResult:
     g = LieGroupId.parse(args.group)
-    spec = normalize(args.l, args.m)
-    index_set = classify_bundles(g, spec)
+    spec = manifolds.normalize(args.l, args.m)
+    index_set = bundles.classify_bundles(g, spec)
     size = index_set.order() or None
     result = {
         "set": index_set.render(),
         "size": size,
-        "projection_on_classes": projection_induced_map_kind(spec.m),
+        "projection_on_classes": bundles.projection_induced_map_kind(spec.m),
     }
     text = (
         f"Prin_{g}({spec}) = {index_set.render()}"
         + (f" ({size} classes)" if size else " (infinitely many classes)")
     )
     if args.k is not None:
-        bundle = reduce_class(g, spec, args.k)
+        bundle = bundles.reduce_class(g, spec, args.k)
         result["k"] = bundle.k
         result["modulus"] = bundle.modulus
         text += f"; k_raw={args.k} reduces to k={bundle.k}"
@@ -133,9 +116,9 @@ def _cmd_classify(args) -> QueryResult:
 
 
 def _cmd_manifold_equiv(args) -> QueryResult:
-    a = normalize(*_pair(args.a))
-    b = normalize(*_pair(args.b))
-    decision = is_homotopy_equivalent(a, b)
+    a = manifolds.normalize(*_pair(args.a))
+    b = manifolds.normalize(*_pair(args.b))
+    decision = manifolds.is_homotopy_equivalent(a, b)
     verdict = "equivalent" if decision.equivalent else "not equivalent"
     return _result(
         {"equivalent": decision.equivalent, "reason": decision.reason,
@@ -146,8 +129,8 @@ def _cmd_manifold_equiv(args) -> QueryResult:
 
 
 def _cmd_manifold_homology(args) -> QueryResult:
-    spec = normalize(args.l, args.m)
-    groups = homology(spec)
+    spec = manifolds.normalize(args.l, args.m)
+    groups = manifolds.homology(spec)
     text = "H_* = (" + ", ".join(g.render() for g in groups) + ")"
     return _result(
         {"degrees": [g.render() for g in groups], "l": spec.l, "m": spec.m},
@@ -157,11 +140,11 @@ def _cmd_manifold_homology(args) -> QueryResult:
 
 
 def _cmd_manifold_suspend(args) -> QueryResult:
-    spec = normalize(args.l, args.m)
+    spec = manifolds.normalize(args.l, args.m)
     if args.p is None:
-        expr = suspension(spec)
+        expr = manifolds.suspension(spec)
     else:
-        expr = suspension_plocal(spec, args.p)
+        expr = manifolds.suspension_plocal(spec, args.p)
     return _result(
         {"expression": expr.render(), "tree": expr.to_json()},
         text=f"Susp {spec} = {expr.render()}",
@@ -169,20 +152,20 @@ def _cmd_manifold_suspend(args) -> QueryResult:
     )
 
 
-def _gauge_query(args, spec, *, pointed: bool, looped: int | None) -> GaugeQuery:
+def _gauge_query(args, spec, *, pointed: bool, looped: int | None) -> gauge.GaugeQuery:
     """The query that both gauge commands answer, localized at --p if given."""
-    bundle = reduce_class(LieGroupId.parse(args.group), spec, args.k)
+    bundle = bundles.reduce_class(LieGroupId.parse(args.group), spec, args.k)
     locality: str | int = "integral" if args.p is None else args.p
-    return GaugeQuery(bundle, pointed=pointed, looped=looped, locality=locality)
+    return gauge.GaugeQuery(bundle, pointed=pointed, looped=looped, locality=locality)
 
 
 def _cmd_gauge_decompose(args) -> QueryResult:
-    spec = normalize(args.l, args.m)
+    spec = manifolds.normalize(args.l, args.m)
     if args.looped and spec.m < 2:
         raise UsageError("--looped needs m >= 2 and --p")
     if args.pointed and spec.m == 1:
         raise UsageError("--pointed does not apply at m = 1, where the base is S^7")
-    decomposition = run_query(
+    decomposition = gauge.run_query(
         _gauge_query(args, spec, pointed=args.pointed, looped=int(args.looped))
     )
     loops = "O^1 " * decomposition.loops
@@ -203,7 +186,7 @@ def _cmd_gauge_decompose(args) -> QueryResult:
 def _cmd_gauge_pi(args) -> QueryResult:
     if args.n < 0:
         raise UsageError("homotopy degree must be nonnegative")
-    spec = normalize(args.l, args.m)
+    spec = manifolds.normalize(args.l, args.m)
     if args.looped and args.unpointed:
         raise UsageError("--looped does not combine with --unpointed")
     if args.looped and spec.m < 2:
@@ -221,9 +204,9 @@ def _cmd_gauge_pi(args) -> QueryResult:
     at = "" if args.p is None else f" @ ({args.p})"
     if args.unpointed:
         if args.p is None:
-            group = pi0_unpointed_gauge_m0(query.bundle.group, spec.l)
+            group = gauge.pi0_unpointed_gauge_m0(query.bundle.group, spec.l)
         else:
-            group = pi0_unpointed_gauge_plocal(
+            group = gauge.pi0_unpointed_gauge_plocal(
                 query.bundle.group, spec.m, query.bundle.k, args.p
             )
         return _result(
@@ -231,8 +214,8 @@ def _cmd_gauge_pi(args) -> QueryResult:
             text=f"pi_0(G^{query.bundle.k}({spec}){at}) = {group.render()}",
             rule="components-m0" if args.p is None else "components-plocal",
         )
-    decomposition = run_query(query)
-    value = pi_of_expr(decomposition.expr, args.n)
+    decomposition = gauge.run_query(query)
+    value = gauge.pi_of_expr(decomposition.expr, args.n)
     result = _group_json(value.group)
     if args.p is None:
         result["symbolic"] = list(value.symbolic)
@@ -248,7 +231,7 @@ def _cmd_gauge_pi(args) -> QueryResult:
 def _cmd_gauge_equiv_s7(args) -> QueryResult:
     g = LieGroupId.parse(args.group)
     locality = _locality(args.locality)
-    decision = s7_gauge_equivalent(g, args.k, args.kp, locality)
+    decision = gauge.s7_gauge_equivalent(g, args.k, args.kp, locality)
     result = {"verdict": decision.verdict, "reason": decision.reason}
     if decision.expr is not None:
         result["expression"] = decision.expr.render()
@@ -265,7 +248,7 @@ def _cmd_gauge_equiv_s7(args) -> QueryResult:
 
 
 def _cmd_gauge_equiv_su5(args) -> QueryResult:
-    decision = su5_gauge_equivalent_m0(args.k, args.kp)
+    decision = gauge.su5_gauge_equivalent_m0(args.k, args.kp)
     return _result(
         {"verdict": decision.verdict, "reason": decision.reason},
         text=f"SU(5) gauge groups k={args.k}, k'={args.kp}: "
@@ -310,15 +293,15 @@ def _cmd_tables_lookup(args) -> QueryResult:
 def _cmd_oracle_homology(args) -> QueryResult:
     if args.complex is not None:
         with open(args.complex, encoding="utf-8") as f:
-            complex_ = parse_complex(f.read())
+            complex_ = oracle.parse_complex(f.read())
         label = args.complex
     else:
         if args.l is None or args.m is None:
             raise UsageError("pass either --complex FILE or both --l and --m")
-        spec = normalize(args.l, args.m)
-        complex_ = complex_for_manifold(spec)
+        spec = manifolds.normalize(args.l, args.m)
+        complex_ = oracle.complex_for_manifold(spec)
         label = str(spec)
-    groups = homology_of(complex_)
+    groups = oracle.homology_of(complex_)
     return _result(
         {
             "source": label,
