@@ -116,6 +116,12 @@ def _as_prime(p: int | Prime) -> Prime:
     return p if isinstance(p, Prime) else Prime(p)
 
 
+def _checked(local_prime: int | None) -> Prime | None:
+    # An AbGroup's local prime was tested when the group was built, so a
+    # result that inherits it does not test it again.
+    return None if local_prime is None else Prime._make((local_prime,))
+
+
 def _invariant_factors(torsion: list[int]) -> tuple[int, ...]:
     """Rewrite arbitrary cyclic orders as a divisibility chain.
 
@@ -285,11 +291,10 @@ def direct_sum(a: AbGroup, b: AbGroup) -> AbGroup:
     >>> direct_sum(TRIVIAL, make_group(0, [5])) == make_group(0, [5])
     True
     """
-    locality = _common_locality(a, b)
     return _build(
         a.free_rank + b.free_rank,
         list(a.invariant_factors) + list(b.invariant_factors),
-        locality,
+        _checked(_common_locality(a, b)),
     )
 
 
@@ -334,13 +339,6 @@ def localize(a: AbGroup, p: int | Prime) -> AbGroup:
     return _build(a.free_rank, torsion, prime)
 
 
-def _tensor_modulus(a: AbGroup, q: int) -> int:
-    # Z_(p) (x) Z_q is the p-part of Z_q; integrally it is Z_q itself.
-    if a.local_prime is None:
-        return q
-    return a.local_prime ** vp(q, a.local_prime)
-
-
 def tensor_with_cyclic(a: AbGroup, q: int) -> AbGroup:
     """a (x) Z_q, extended additively over the canonical decomposition.
 
@@ -351,10 +349,11 @@ def tensor_with_cyclic(a: AbGroup, q: int) -> AbGroup:
     """
     if q < 2:
         raise ValueError("cyclic order must be >= 2")
-    qq = _tensor_modulus(a, q)
-    torsion = [qq] * a.free_rank
+    prime = _checked(a.local_prime)
+    # Z_(p) (x) Z_q is the p-part of Z_q; integrally it is Z_q itself.
+    torsion = [q if prime is None else prime.value ** vp(q, prime)] * a.free_rank
     torsion.extend(gcd(d, q) for d in a.invariant_factors)
-    return _build(0, torsion, a.local_prime)
+    return _build(0, torsion, prime)
 
 
 def tor_with_cyclic(a: AbGroup, q: int) -> AbGroup:
@@ -368,7 +367,7 @@ def tor_with_cyclic(a: AbGroup, q: int) -> AbGroup:
     if q < 2:
         raise ValueError("cyclic order must be >= 2")
     torsion = [gcd(d, q) for d in a.invariant_factors]
-    return _build(0, torsion, a.local_prime)
+    return _build(0, torsion, _checked(a.local_prime))
 
 
 _SUMMAND = re.compile(r"^(?:Z|Z_\((\d+)\)|Z_(\d+))$")
