@@ -1,6 +1,8 @@
 import math
 
 import pytest
+
+from bundlegauge import abelian
 from hypothesis import given, strategies as st
 
 from bundlegauge.abelian import (
@@ -164,6 +166,51 @@ class TestTensorTor:
     def test_rejects_unit_modulus(self):
         with pytest.raises(ValueError):
             tensor_with_cyclic(TRIVIAL, 1)
+
+
+# Z_(5) + Z_25, built before any test counts primality tests.
+LOCAL_AT_5 = localize(make_group(1, [25]), Prime(5))
+
+
+class TestInheritedPrimeIsNotRetested:
+    """A group's local prime was tested when the group was built, so a
+    result that inherits it runs no new primality test."""
+
+    @pytest.fixture
+    def tests_run(self, monkeypatch):
+        calls = []
+        real = abelian.is_prime
+        monkeypatch.setattr(abelian, "is_prime", lambda n: calls.append(n) or real(n))
+        return calls
+
+    @pytest.mark.parametrize(
+        "operation,expected",
+        [
+            (lambda a: direct_sum(a, a), AbGroup(2, (25, 25), 5)),
+            (lambda a: direct_sum(TRIVIAL, a), LOCAL_AT_5),
+            (lambda a: tensor_with_cyclic(a, 10), AbGroup(0, (5, 5), 5)),
+            (lambda a: tor_with_cyclic(a, 10), AbGroup(0, (5,), 5)),
+        ],
+        ids=["direct-sum", "direct-sum-trivial", "tensor", "tor"],
+    )
+    def test_an_operation_on_a_local_group_tests_no_prime(
+        self, tests_run, operation, expected
+    ):
+        result = operation(LOCAL_AT_5)
+        assert tests_run == []
+        assert result == expected
+        assert type(result.local_prime) is int
+
+    def test_a_parsed_prime_is_tested_once(self, tests_run):
+        assert parse_group("Z_(5) + Z_25") == LOCAL_AT_5
+        assert tests_run == [5]
+
+    @pytest.mark.parametrize("text", ["Z_(4)", "Z_4 @ (4)", "Z_(9) + Z_9"])
+    def test_a_parsed_composite_is_refused(self, text):
+        with pytest.raises(ValueError) as refused:
+            parse_group(text)
+        assert refused.type is ValueError
+        assert str(refused.value).endswith(" is not prime")
 
 
 class TestVp:
