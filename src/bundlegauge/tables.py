@@ -1,8 +1,9 @@
 """Curated homotopy group tables for spheres and compact Lie groups.
 
 Every value is a citation, not a computation: the table is loaded from a
-line-oriented data file (``key | degree | group | source``) and lookups
-never extrapolate beyond it.  A missing entry raises UnknownValueError.
+data file (``key | degree | group | source``) whose low degrees three
+classical rules fill and check on load.  A missing entry raises
+UnknownValueError: lookups never extrapolate beyond the loaded records.
 
 Family-parameterized records such as ``Sp(n):n>=2 | 4 | Z_2 | ...``
 carry an explicit validity range on the rank parameter.  The classical
@@ -21,7 +22,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
-from .abelian import AbGroup, make_group, parse_group, vp
+from .abelian import TRIVIAL, Z, AbGroup, make_group, parse_group, vp
 from .errors import UnknownValueError
 
 __all__ = [
@@ -41,6 +42,8 @@ ENV_TABLE_PATH = "BUNDLEGAUGE_TABLES"
 
 _FAMILIES = ("SU", "Sp", "Spin", "G2", "F4", "E6", "E7", "E8")
 _MIN_RANK = {"SU": 2, "Sp": 1, "Spin": 5}
+_LIE_RULES = ("connected", "simply connected", "pi_2 of a Lie group vanishes")
+_MAX_SPHERE = 256  # the connectivity rule fills each degree below n for S<n>
 
 # The one grammar of table keys and group tokens: a group with a rank,
 # SU4 or SU(4) (groups 1-3); a family key, SU(n):n>=5 (groups 1 and 4);
@@ -160,10 +163,26 @@ def _parse_record(line: str) -> TableRecord:
     # A key is refused unless a lookup reads it as written.
     if m[6] and int(m[6]) < 1:
         raise ValueError(f"sphere key {key} is never read: spheres start at S1")
+    if m[6] and int(m[6]) > _MAX_SPHERE:
+        raise ValueError(f"sphere key {key} is too large: spheres stop at S{_MAX_SPHERE}")
     read_as = f"S{int(m[6])}" if m[6] else _lie_key(_group_of(m))
     if read_as != key:
         raise ValueError(f"table key {key} is an alias: key its rows {read_as}")
     return TableRecord(None, None, key, degree, group, source)
+
+
+def _rule_records(heads):
+    """Each head's rule records: S^n is (n-1)-connected with pi_n(S^n) = Z
+    (Hurewicz), and a simply connected Lie group has pi_0..pi_2 = 0."""
+    for h in heads:
+        if h.key[0] == "S" and h.key[1:].isdecimal():
+            n = int(h.key[1:])
+            for i in range(n):
+                yield TableRecord(None, None, h.key, i, TRIVIAL, "connectivity")
+            yield TableRecord(None, None, h.key, n, Z, "Hurewicz")
+        else:
+            for i, source in enumerate(_LIE_RULES):
+                yield TableRecord(h.family, h.min_n, h.key, i, TRIVIAL, source)
 
 
 class PiTable:
@@ -176,11 +195,22 @@ class PiTable:
     def __init__(self, records: list[TableRecord]):
         self._records = tuple(records)
         self._rows: dict[tuple[str, int], TableRecord] = {}
+        heads: dict[str, TableRecord] = {}  # each key's row of least bound
         for rec in records:
             slot = (rec.family or rec.key, rec.degree)
             if slot in self._rows:
                 raise ValueError(f"duplicate table entry for {slot}")
             self._rows[slot] = rec
+            head = heads.setdefault(slot[0], rec)
+            if rec.min_n is not None and rec.min_n < head.min_n:
+                heads[slot[0]] = rec
+        # A rule fills an empty slot; a row in its slot must agree with it.
+        for rule in _rule_records(heads.values()):
+            rec = self._rows.setdefault((rule.family or rule.key, rule.degree), rule)
+            if rec.group != rule.group:
+                raise ValueError(
+                    f"table line {rec.line()!r} contradicts the rule {rule.source!r}"
+                )
 
     @property
     def records(self) -> tuple[TableRecord, ...]:
@@ -301,7 +331,7 @@ RULES = {
     "crowley-escher": ("Crowley-Escher criterion", ("Crowley-Escher (2003)",)),
     "homology": ("closed-form cellular homology", ()),
     "suspension": ("integral suspension splitting", ()),
-    "suspension-plocal": ("p-local suspension splitting", (PI6_MOORE_SOURCE,)),
+    "suspension-plocal": ("p-local suspension splitting", ()),
     "unpointed-m0": ("unpointed splitting over a torsion-free base", ()),
     "pointed-m0": ("pointed splitting over a torsion-free base", ()),
     "plocal-trivial": ("p-local splitting for p prime to m, trivial class", ()),

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import zipfile
@@ -328,6 +329,108 @@ class TestDataFile:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert json.loads(proc.stdout)["result"]["set"] == "Z_5"
+
+
+RULE_SOURCES = {"connectivity", "Hurewicz", "connected", "simply connected",
+                "pi_2 of a Lie group vanishes"}
+
+
+class TestRules:
+    """Connectivity, Hurewicz and pi_0 = pi_1 = pi_2 = 0 for a Lie group
+    fill the low degrees of each key a table holds, and check its rows."""
+
+    @pytest.mark.parametrize(
+        "line,rule",
+        [
+            ("G2 | 2 | Z_2 | x", "pi_2 of a Lie group vanishes"),
+            ("S4 | 1 | Z | x", "connectivity"),
+            ("S5 | 5 | Z_2 | x", "Hurewicz"),
+            ("Spin(n):n>=10 | 1 | Z | x", "simply connected"),
+        ],
+    )
+    def test_a_row_that_contradicts_a_rule_is_refused(self, line, rule):
+        message = f"table line '{line}' contradicts the rule '{rule}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PiTable.from_text(f"S3 | 6 | Z_12 | ok\n{line}\n")
+
+    def test_a_row_that_agrees_with_a_rule_wins(self):
+        table = PiTable.from_text("S3 | 3 | Z | mine\n")
+        assert table.sphere_record(3, 3).source == "mine"
+        assert table.sphere_record(3, 2).source == "connectivity"
+        assert table.dump_lines() == ["S3 | 3 | Z | mine"]
+
+    def test_packaged_keys_answer_low_degrees_by_rule(self):
+        table = default_table()
+        heads = {}
+        for rec in table.records:
+            head = heads.setdefault(rec.family or rec.key, rec)
+            if rec.min_n is not None and rec.min_n < head.min_n:
+                heads[rec.family or rec.key] = rec
+        spheres = [k for k in heads if k[0] == "S" and k[1:].isdecimal()]
+        assert spheres == ["S1", "S3", "S4", "S5", "S6", "S7"]
+        for key in spheres:
+            n = int(key[1:])
+            for i in range(n + 1):
+                rec = table.sphere_record(n, i)
+                expected = "Hurewicz" if i == n else "connectivity"
+                assert (rec.key, rec.source) == (key, "classical" if n == 1 else expected)
+                assert rec.group == (make_group(1, []) if i == n else make_group(0, []))
+        groups = {k: h for k, h in heads.items() if k not in spheres}
+        assert len(groups) == 13 and groups["Spin"].key == "Spin(n):n>=10"
+        sources = ("connected", "simply connected", "pi_2 of a Lie group vanishes")
+        for h in groups.values():
+            g = LieGroupId(h.family, h.min_n) if h.family else LieGroupId.parse(h.key)
+            for i, source in enumerate(sources):
+                rec = table.lie_record(g, i)
+                assert (rec.key, rec.min_n, rec.source) == (h.key, h.min_n, source)
+                assert rec.group.is_trivial
+
+    def test_a_derived_record_is_one_object(self):
+        table = default_table()
+        assert table.lie_record(LieGroupId("Spin", 12), 1) is table.lie_record(
+            LieGroupId("Spin", 10), 1
+        )
+        assert table.sphere_record(7, 3) is table.sphere_record(7, 3)
+
+    def test_no_packaged_row_restates_a_rule(self):
+        assert not [r.line() for r in default_table().records if r.source in RULE_SOURCES]
+
+    def test_an_override_gets_the_rules_for_its_own_keys_only(self):
+        table = PiTable.from_text("SU4 | 6 | 0 | t\n")
+        su4 = LieGroupId("SU", 4)
+        assert [table.lie_record(su4, i).source for i in range(3)] == [
+            "connected", "simply connected", "pi_2 of a Lie group vanishes"
+        ]
+        assert table.lie_record(LieGroupId("Spin", 6), 1).key == "SU4"
+        with pytest.raises(UnknownValueError):
+            table.lie_record(su4, 3)
+        with pytest.raises(UnknownValueError, match=re.escape("pi_0(SU(5))")):
+            table.lie_record(LieGroupId("SU", 5), 0)
+        with pytest.raises(UnknownValueError, match=re.escape("pi_2(S^2)")):
+            table.sphere_record(2, 2)
+        assert table.dump_lines() == ["SU4 | 6 | 0 | t"]
+
+    def test_a_contradicting_override_is_a_usage_error(self, tmp_path, monkeypatch):
+        from bundlegauge.cli import EXIT_USAGE, run
+
+        alt = tmp_path / "su4.txt"
+        alt.write_text("SU4 | 1 | Z_2 | mine\n", encoding="utf-8")
+        monkeypatch.setenv("BUNDLEGAUGE_TABLES", str(alt))
+        tables_module._cached_table.cache_clear()
+        try:
+            result = run(["tables", "lookup", "--group", "SU4", "--i", "3"])
+            assert result.exit_code == EXIT_USAGE
+            assert "contradicts the rule 'simply connected'" in result.payload["error"]
+        finally:
+            monkeypatch.delenv("BUNDLEGAUGE_TABLES")
+            tables_module._cached_table.cache_clear()
+
+    def test_sphere_keys_stop_where_the_rules_stay_small(self):
+        top = tables_module._MAX_SPHERE
+        table = PiTable.from_text(f"S{top} | {top + 3} | Z_2 | x\n")
+        assert table.sphere_record(top, top - 1).source == "connectivity"
+        with pytest.raises(ValueError, match=f"sphere key S{top + 1} is too large"):
+            PiTable.from_text(f"S{top + 1} | 0 | 0 | x\n")
 
 
 @pytest.mark.parametrize(
