@@ -142,14 +142,14 @@ def _first_own_rank(family: str) -> int:
 def _parse_record(line: str) -> TableRecord:
     fields = [f.strip() for f in line.split("|")]
     if len(fields) != 4:
-        raise ValueError(f"malformed table line: {line!r}")
+        raise ValueError("malformed: need key | degree | group | source")
     key, degree_s, group_s, source = fields
+    if not degree_s.isdecimal():
+        raise ValueError(f"degree {degree_s!r} is not a nonnegative integer")
     degree = int(degree_s)
-    if degree < 0:
-        raise ValueError(f"negative degree in table line: {line!r}")
     group = parse_group(group_s)
     if not group.is_integral:
-        raise ValueError(f"table entries must be integral: {line!r}")
+        raise ValueError("table entries must be integral")
     m = _KEY.fullmatch(key)
     if m is None:
         raise ValueError(f"unrecognized table key {key!r}")
@@ -199,7 +199,8 @@ class PiTable:
         for rec in records:
             slot = (rec.family or rec.key, rec.degree)
             if slot in self._rows:
-                raise ValueError(f"duplicate table entry for {slot}")
+                first = self._rows[slot].line()
+                raise ValueError(f"duplicate table entry: {first!r} and {rec.line()!r}")
             self._rows[slot] = rec
             head = heads.setdefault(slot[0], rec)
             if rec.min_n is not None and rec.min_n < head.min_n:
@@ -221,17 +222,23 @@ class PiTable:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "PiTable":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_text(f.read())
+        try:
+            with open(path, encoding="utf-8") as f:
+                return cls.from_text(f.read())
+        except ValueError as exc:
+            raise ValueError(f"{os.fspath(path)}: {exc}") from exc
 
     @classmethod
     def from_text(cls, text: str) -> "PiTable":
         records = []
-        for raw in text.splitlines():
+        for number, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            records.append(_parse_record(line))
+            try:
+                records.append(_parse_record(line))
+            except ValueError as exc:
+                raise ValueError(f"table line {number} {line!r}: {exc}") from exc
         return cls(records)
 
     def sphere_record(self, n: int, i: int) -> TableRecord:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -237,6 +238,18 @@ class TestPrime:
         for bad in (0, 1, 4, 9, 15):
             with pytest.raises(ValueError):
                 Prime(bad)
+
+    def test_no_other_module_tests_primality(self):
+        # Primality is checked in one place: every other module takes its
+        # primes through Prime.
+        calls = [
+            f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(Path(abelian.__file__).parent.glob("*.py"))
+            if path.name != "abelian.py"
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if "is_prime(" in line
+        ]
+        assert calls == []
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:

@@ -42,10 +42,11 @@ print(json.dumps({"exit": result.exit_code, "calls": calls}))
 """
 
 
-def _python(code: str, *args: str, path: Path = SRC) -> dict:
+def _python(*args: str, path: Path = SRC, cwd: Path | None = None) -> dict:
+    """The JSON that `python *args` prints, with path as the PYTHONPATH."""
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
-        capture_output=True, text=True, check=True,
+        [sys.executable, *args],
+        capture_output=True, text=True, check=True, cwd=cwd,
         env={k: v for k, v in os.environ.items() if k != "BUNDLEGAUGE_TABLES"}
         | {"PYTHONPATH": str(path)},
     )
@@ -68,12 +69,12 @@ def _python(code: str, *args: str, path: Path = SRC) -> dict:
          "usage-error"],
 )
 def test_a_subcommand_executes_only_the_modules_it_needs(argv, code, unexecuted):
-    out = _python(UNEXECUTED_AFTER_RUN, *argv.split())
+    out = _python("-c", UNEXECUTED_AFTER_RUN, *argv.split())
     assert out == {"exit": code, "unexecuted": unexecuted}
 
 
 def test_the_tracer_wraps_a_module_registered_lazily():
-    out = _python(TRACED_RUN, str(TRACING),
+    out = _python("-c", TRACED_RUN, str(TRACING),
                   *"gauge pi --group SU4 --l 0 --m 10 --n 1 --p 5".split())
     assert out["exit"] == 0
     assert out["calls"]["gauge.pi_of_expr"] >= 1
@@ -112,7 +113,7 @@ print(json.dumps({"same": same, "star": sorted(n for n in star if n != "__builti
 
 class TestPublicApi:
     def test_every_name_is_its_module_attribute_in_a_fresh_process(self):
-        out = _python(PUBLIC_NAMES, json.dumps(HOMES))
+        out = _python("-c", PUBLIC_NAMES, json.dumps(HOMES))
         assert out == {"same": sorted(HOMES), "star": sorted(HOMES)}
 
     def test_all_and_dir_list_the_public_names(self):
@@ -137,23 +138,28 @@ def zipped_package(tmp_path_factory):
     return archive
 
 
-FROM_ZIP = """
-import json, sys
-from bundlegauge import cli, gauge, tables
-result = cli.run(sys.argv[1:])
-print(json.dumps({"files": [m.__file__ for m in (cli, gauge, tables)],
-                  "exit": result.exit_code, "payload": result.payload}))
-"""
+RP2 = "# real projective plane\ncells: 1 1 1\nboundary 2:\n2\n"
+
+# One field of each answer, by argv.
+ZIP_ANSWERS = {
+    "--json tables lookup --group=SU4 --i=3": ("group", "Z"),
+    "--json gauge pi --group SU4 --l 0 --m 10 --n 1 --p 5": ("group", "0"),
+    "--json classify --group SU4 --l 0 --m 5": ("set", "Z_5"),
+    "--json oracle homology --complex rp2.txt": ("degrees", ["Z", "Z_2", "0"]),
+}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    ["--json tables lookup --group=SU4 --i=3",
-     "--json gauge pi --group SU4 --l 0 --m 10 --n 1 --p 5"],
-)
-def test_a_zip_of_the_package_answers(zipped_package, argv):
-    out = _python(FROM_ZIP, *argv.split(), path=zipped_package)
-    assert all(f.startswith(str(zipped_package) + os.sep) for f in out["files"])
+@pytest.mark.parametrize("argv", list(ZIP_ANSWERS))
+def test_a_zip_of_the_package_answers(zipped_package, argv, tmp_path, monkeypatch):
+    # Run from a directory outside the checkout and without site-packages
+    # (-S), the package can come only from the zip: its code, its table
+    # and its `python -m` entry point.
+    (tmp_path / "rp2.txt").write_text(RP2, encoding="utf-8")
+    out = _python("-S", "-m", "bundlegauge", *argv.split(), path=zipped_package,
+                  cwd=tmp_path)
+    field, value = ZIP_ANSWERS[argv]
+    assert out["result"][field] == value
+    monkeypatch.chdir(tmp_path)
     expected = cli.run(argv.split())
-    assert out["exit"] == expected.exit_code == 0
-    assert out["payload"] == json.loads(json.dumps(expected.payload))
+    assert expected.exit_code == 0
+    assert out == json.loads(json.dumps(expected.payload))

@@ -4,12 +4,13 @@ Every theorem that the CLI prints names a row of ``tables.RULES`` and
 starts its citations with the row's, and every row is printed by some
 answer: one of the golden corpus, or one of EXTRA_ARGVS for the rules
 that the corpus does not reach.  Every rule key that a library result
-carries is a key of RULES.
+carries is a key of RULES, and no citation is typed in the CLI.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from bundlegauge import cli
@@ -99,3 +100,11 @@ def test_library_rules_are_keys():
         "s7-trivial", "s7-gcd", "unpointed-m0", "pointed-m0", "plocal-trivial",
         "plocal-looped", "plocal-pointed", "plocal-pointed-looped",
     }
+
+
+def test_no_citation_is_typed_in_the_cli():
+    # Theorem names and citations live in RULES; a year in parentheses in
+    # the CLI means that one was typed there again.
+    lines = Path(cli.__file__).read_text(encoding="utf-8").splitlines()
+    year = re.compile(r"\((1[89]|20)[0-9]{2}\)")
+    assert [line.strip() for line in lines if year.search(line)] == []

@@ -1,14 +1,7 @@
-import json
-import os
 import re
-import subprocess
-import sys
-import zipfile
-from pathlib import Path
 
 import pytest
 
-import bundlegauge
 from bundlegauge import tables as tables_module
 from bundlegauge.abelian import localize, make_group, vp
 from bundlegauge.errors import UnknownValueError
@@ -180,6 +173,30 @@ class TestDataFile:
         with pytest.raises(ValueError):
             PiTable.from_text(text)
 
+    @pytest.mark.parametrize("degree", ["x", "2.5", ""])
+    def test_a_degree_that_is_no_integer_names_its_line(self, degree):
+        line = f"S3 | {degree} | Z_12 | a"
+        message = f"table line 3 {line!r}: degree {degree!r} is not a nonnegative integer"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PiTable.from_text(f"# note\nS3 | 6 | Z_12 | ok\n{line}\n")
+
+    @pytest.mark.parametrize(
+        "text,error",
+        [
+            ("S3 | 6 | Z_12 | a\n\nS3 | x | Z_12 | a\n",
+             "table line 3 'S3 | x | Z_12 | a': degree 'x' is not a nonnegative integer"),
+            ("S3 | 6 | Z_12 | a\nS3 | 6 | Z_2 | b\n",
+             "duplicate table entry: 'S3 | 6 | Z_12 | a' and 'S3 | 6 | Z_2 | b'"),
+        ],
+        ids=["degree", "duplicate"],
+    )
+    def test_a_refused_file_names_its_path_and_lines(self, tmp_path, text, error):
+        path = tmp_path / "override.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as refusal:
+            PiTable.load(path)
+        assert str(refusal.value) == f"{path}: {error}"
+
     def test_malformed_lines_rejected(self):
         with pytest.raises(ValueError):
             PiTable.from_text("S3 | 6 | Z_12\n")
@@ -313,23 +330,6 @@ class TestDataFile:
         finally:
             tables_module._cached_table.cache_clear()
 
-    def test_packaged_table_loads_from_a_zip_import(self, tmp_path):
-        package = Path(bundlegauge.__file__).parent
-        archive = tmp_path / "bg.zip"
-        with zipfile.ZipFile(archive, "w") as zf:
-            for path in sorted(package.rglob("*")):
-                if path.is_file() and "__pycache__" not in path.parts:
-                    zf.write(path, Path("bundlegauge") / path.relative_to(package))
-        proc = subprocess.run(
-            [sys.executable, "-m", "bundlegauge", "--json", "classify",
-             "--group", "SU4", "--l", "0", "--m", "5"],
-            capture_output=True, text=True, cwd=tmp_path,
-            env={k: v for k, v in os.environ.items() if k != "BUNDLEGAUGE_TABLES"}
-            | {"PYTHONPATH": str(archive)},
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert json.loads(proc.stdout)["result"]["set"] == "Z_5"
-
 
 RULE_SOURCES = {"connectivity", "Hurewicz", "connected", "simply connected",
                 "pi_2 of a Lie group vanishes"}
@@ -437,7 +437,7 @@ class TestRules:
     "build,fragment",
     [
         (lambda: LieGroupId("SU"), "SU requires a rank parameter"),
-        (lambda: PiTable.from_text("S3 | -1 | 0 | x\n"), "negative degree in table line"),
+        (lambda: PiTable.from_text("S3 | -1 | 0 | x\n"), "degree '-1' is not a nonnegative"),
         (lambda: PiTable.from_text("S3 | 3 | Z_25 @ (5) | x\n"),
          "table entries must be integral"),
         # A key is loaded only when a lookup reads it as written.
