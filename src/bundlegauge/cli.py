@@ -84,15 +84,6 @@ def _pair(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _locality(text: str) -> str | int:
-    if text in ("integral", "rational"):
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"locality must be integral, rational or a prime: {text!r}")
-
-
 def _cmd_classify(args) -> QueryResult:
     g = LieGroupId.parse(args.group)
     spec = manifolds.normalize(args.l, args.m)
@@ -230,8 +221,7 @@ def _cmd_gauge_pi(args) -> QueryResult:
 
 def _cmd_gauge_equiv_s7(args) -> QueryResult:
     g = LieGroupId.parse(args.group)
-    locality = _locality(args.locality)
-    decision = gauge.s7_gauge_equivalent(g, args.k, args.kp, locality)
+    decision = gauge.s7_gauge_equivalent(g, args.k, args.kp, args.locality)
     result = {"verdict": decision.verdict, "reason": decision.reason}
     if decision.expr is not None:
         result["expression"] = decision.expr.render()
@@ -239,7 +229,7 @@ def _cmd_gauge_equiv_s7(args) -> QueryResult:
     out_of_scope = decision.verdict == "out-of-scope"
     return _result(
         result,
-        text=f"G^{args.k}(S^7) vs G^{args.kp}(S^7) for {g} at {locality}: "
+        text=f"G^{args.k}(S^7) vs G^{args.kp}(S^7) for {g} at {args.locality}: "
         f"{decision.verdict} ({decision.reason})",
         rule=decision.rule,
         status="out-of-scope" if out_of_scope else "ok",

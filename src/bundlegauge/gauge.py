@@ -36,6 +36,7 @@ the decomposition.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from math import gcd
 
 from .abelian import (
@@ -320,10 +321,14 @@ def pi_of_expr(expr: SpaceExpr, n: int) -> PiValue:
     every other node (the opaque atoms, Map*(Y_t, G) for t != 0, wedges)
     contributes the symbolic summand pi_n(<its text>), since pi_n is not
     additive over wedges.
+
+    A repeated (expression, degree) pair under the same table is answered
+    from a memo of 4,096 entries, as the same PiValue object; refusals are
+    raised again each time, never stored.
     """
     if n < 0:
         raise ValueError("homotopy degree must be nonnegative")
-    return _pi(expr, n, default_table())
+    return _pi_of(expr, n, default_table())
 
 
 def _pi(expr: SpaceExpr, n: int, table: PiTable) -> PiValue:
@@ -370,6 +375,12 @@ def _pi(expr: SpaceExpr, n: int, table: PiTable) -> PiValue:
         case "moore" if expr.args[0] == 4 and n == 6:
             return PiValue(pi6_moore(expr.args[1]), sources=(PI6_MOORE_SOURCE,))
     return PiValue(TRIVIAL, (f"pi_{n}({expr.render()})",))
+
+
+# The table is part of the key, so a new BUNDLEGAUGE_TABLES is seen at
+# once.  typed keeps n=True apart from n=1, since the symbolic text
+# prints n; the cap bounds memory under the unbounded m and k of X_k.
+_pi_of = lru_cache(maxsize=4096, typed=True)(_pi)
 
 
 def pi_pointed_gauge_m0(g: LieGroupId, l: int, k: int, n: int) -> PiValue:
@@ -449,11 +460,17 @@ class S7Decision(
 
 
 def _parse_locality(locality: str | int) -> str | int:
+    """"integral", "rational", or a prime given as an int or decimal text."""
     if locality in ("integral", "rational"):
         return locality
-    if isinstance(locality, int):
-        return Prime(locality).value
-    raise ValueError(f"locality must be 'integral', 'rational' or a prime")
+    if isinstance(locality, str):
+        try:
+            locality = int(locality)
+        except ValueError:
+            pass
+    if not isinstance(locality, int):
+        raise ValueError(f"locality must be integral, rational or a prime: {locality!r}")
+    return Prime(locality).value
 
 
 def s7_gauge_equivalent(

@@ -1,6 +1,6 @@
 import pytest
 
-from bundlegauge import abelian
+from bundlegauge import abelian, gauge
 from bundlegauge.abelian import localize, make_group
 from bundlegauge.bundles import reduce_class
 from bundlegauge.errors import OutOfScopeError, UnknownValueError
@@ -34,7 +34,7 @@ from bundlegauge.spaces import (
     sphere,
     x_fiber,
 )
-from bundlegauge.tables import LieGroupId
+from bundlegauge.tables import LieGroupId, default_table, pi6
 
 SU2 = LieGroupId("SU", 2)
 SU3 = LieGroupId("SU", 3)
@@ -267,6 +267,91 @@ class TestPiOfExpr:
         assert pi_of_expr(moore(4, 5), 6).group == make_group(0, [5])
 
 
+PACKAGED_GROUPS = [
+    LieGroupId.parse(t)
+    for t in (
+        "SU2", "SU3", "SU4", "SU5", "Sp1", "Sp2", "Sp3", "Spin5", "Spin6",
+        "Spin7", "Spin8", "Spin9", "Spin11", "G2", "F4", "E6", "E7", "E8",
+    )
+]
+
+
+def _outcome(read, expr, n):
+    """The answer, or the refusal's type and text."""
+    try:
+        return read(expr, n)
+    except (OutOfScopeError, UnknownValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestPiMemo:
+    """pi_of_expr answers repeats from a memo keyed by (expr, n, table)."""
+
+    def test_memo_agrees_with_the_unmemoized_reader(self):
+        exprs = [
+            decompose(g, t, 1).expr
+            for g in PACKAGED_GROUPS
+            if pi6(g).is_trivial
+            for t in range(7)
+            for decompose in (decompose_pointed_m0, decompose_unpointed_m0)
+        ]
+        exprs += [
+            decompose_plocal(g, 0, 2 * p**r, 0, p, pointed=True, looped=looped).expr
+            for g in (SU4, SP2, SPIN8, E8)
+            for p in (5, 7, 11)
+            for r in range(3)
+            for looped in (False, True)
+        ]
+
+        def unmemoized(expr, n):
+            return gauge._pi(expr, n, default_table())
+
+        gauge._pi_of.cache_clear()
+        for expr in exprs:
+            for n in range(4):
+                expected = _outcome(unmemoized, expr, n)
+                first = _outcome(pi_of_expr, expr, n)
+                second = _outcome(pi_of_expr, expr, n)
+                assert first == second == expected, (expr.render(), n)
+                if isinstance(first, gauge.PiValue):
+                    assert second is first
+
+    def test_an_override_changes_the_answer(self, tmp_path, monkeypatch):
+        alt = tmp_path / "su4.txt"
+        alt.write_text("SU4 | 4 | Z_7 | test\n", encoding="utf-8")
+        expr = loop(4, lie(SU4))
+        monkeypatch.delenv("BUNDLEGAUGE_TABLES", raising=False)
+        packaged = pi_of_expr(expr, 0)
+        assert packaged.group.is_trivial
+        monkeypatch.setenv("BUNDLEGAUGE_TABLES", str(alt))
+        assert pi_of_expr(expr, 0) == (make_group(0, [7]), (), (), ("test",))
+        monkeypatch.delenv("BUNDLEGAUGE_TABLES")
+        assert pi_of_expr(expr, 0) is packaged
+
+    def test_a_refusal_is_not_stored(self, tmp_path, monkeypatch):
+        alt = tmp_path / "su4.txt"
+        alt.write_text("SU4 | 4 | Z_7 | test\n", encoding="utf-8")
+        expr = loop(3, lie(SU4))
+        monkeypatch.setenv("BUNDLEGAUGE_TABLES", str(alt))
+        for _ in range(2):
+            with pytest.raises(UnknownValueError, match="pi_3"):
+                pi_of_expr(expr, 0)
+        monkeypatch.delenv("BUNDLEGAUGE_TABLES")
+        assert pi_of_expr(expr, 0).group == Z
+
+    def test_a_bool_degree_is_kept_apart_from_an_int(self):
+        expr = gauge_s4(SU4, 1)
+        gauge._pi_of.cache_clear()
+        assert pi_of_expr(expr, True).symbolic == ("pi_True(G^1(S^4))",)
+        assert pi_of_expr(expr, 1).symbolic == ("pi_1(G^1(S^4))",)
+
+    def test_the_memo_stays_within_its_cap(self):
+        cap = 4096
+        for k in range(1, cap + 100):
+            pi_of_expr(x_fiber(SU4, 5, k), 0)
+        assert gauge._pi_of.cache_info().currsize <= cap
+
+
 class TestPiPointedPlocal:
     def test_su4_row(self):
         result = pi_pointed_gauge_plocal(SU4, 5, 0, 0, 5)
@@ -355,6 +440,11 @@ class TestS7Equivalence:
     def test_bad_locality_rejected(self):
         with pytest.raises(ValueError):
             s7_gauge_equivalent(SU2, 0, 1, 6)
+
+    def test_locality_as_decimal_text(self):
+        assert s7_gauge_equivalent(G2, 0, 1, "5") == s7_gauge_equivalent(G2, 0, 1, 5)
+        with pytest.raises(ValueError, match="integral, rational or a prime: 'p-adic'"):
+            s7_gauge_equivalent(G2, 0, 1, "p-adic")
 
     def test_no_rule_for_other_groups_with_pi6_nonzero(self, tmp_path, monkeypatch):
         # Only an override table gives a group other than SU(2), SU(3)
