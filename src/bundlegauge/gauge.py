@@ -30,7 +30,8 @@ silent expansion is performed.
 
 Homotopy groups have one derivation path: decompose, then read pi_n off
 the expression with pi_of_expr.  The pi_* functions below only choose
-the decomposition.
+the decomposition: pi_i(G; Z_{p^r}) is pi_0 of O^i[G]{p^r}, and a
+PiValue note marks where the coefficient sequence is assumed to split.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ __all__ = [
     "DecompositionResult",
     "GaugeQuery",
     "PiValue",
-    "CoefficientGroup",
     "S7Decision",
     "Su5Decision",
     "decompose_unpointed_m0",
@@ -269,50 +269,6 @@ def _merge(values: list[PiValue]) -> PiValue:
     return PiValue(group, tuple(symbolic), tuple(notes), tuple(sources))
 
 
-class CoefficientGroup(
-    namedtuple(
-        "CoefficientGroup", "group extension_split_assumed sources", defaults=((),)
-    )
-):
-    """pi_i(G; Z_q) computed from the universal-coefficient sequence.
-
-    The middle term is reported as the direct sum of the two ends;
-    extension_split_assumed flags the cases where both ends are nonzero
-    and the sum is therefore an assumption, not a theorem.
-    """
-
-    __slots__ = ()
-
-
-def _coefficient_group(
-    g: LieGroupId, i: int, q: int, table: PiTable
-) -> CoefficientGroup:
-    if q == 1:
-        return CoefficientGroup(TRIVIAL, False)
-    rec_i = table.lie_record(g, i)
-    tensor_part = tensor_with_cyclic(rec_i.group, q)
-    sources = [rec_i.source]
-    if i >= 1:
-        rec_prev = table.lie_record(g, i - 1)
-        tor_part = tor_with_cyclic(rec_prev.group, q)
-        if rec_prev.source not in sources:
-            sources.append(rec_prev.source)
-    else:
-        tor_part = TRIVIAL
-    flagged = not tensor_part.is_trivial and not tor_part.is_trivial
-    return CoefficientGroup(
-        direct_sum(tensor_part, tor_part), flagged, tuple(sources)
-    )
-
-
-def pi_with_coefficients(g: LieGroupId, i: int, p: int, r: int) -> CoefficientGroup:
-    """pi_i(G; Z_{p^r}) for p >= 5, via tensor and Tor with Z_{p^r}."""
-    plocal_valuation(None, p)
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    return _coefficient_group(g, i, p**r, default_table())
-
-
 def pi_of_expr(expr: SpaceExpr, n: int) -> PiValue:
     """pi_n of a product-shaped decomposition expression.
 
@@ -326,9 +282,24 @@ def pi_of_expr(expr: SpaceExpr, n: int) -> PiValue:
     from a memo of 4,096 entries, as the same PiValue object; refusals are
     raised again each time, never stored.
     """
-    if n < 0:
-        raise ValueError("homotopy degree must be nonnegative")
+    if type(n) is not int or n < 0:
+        raise ValueError("homotopy degree must be nonnegative and an int")
     return _pi_of(expr, n, default_table())
+
+
+def pi_with_coefficients(g: LieGroupId, i: int, p: int, r: int) -> PiValue:
+    """pi_i(G; Z_{p^r}) for p >= 5: pi_0 of the mod-p^r loop space
+    O^i[G]{p^r}, read off by pi_of_expr.
+
+    Where both universal-coefficient ends are nonzero the group is their
+    direct sum, and a PiValue note says the split is assumed.  r = 0
+    gives the point, and i = 0 reads pi_0(G) = 0, G being connected.
+    """
+    plocal_valuation(None, p)
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    expr = lie(g) if i == 0 and r else mod_loop(i, g, p**r)
+    return pi_of_expr(expr, 0)
 
 
 def _pi(expr: SpaceExpr, n: int, table: PiTable) -> PiValue:
@@ -361,14 +332,16 @@ def _pi(expr: SpaceExpr, n: int, table: PiTable) -> PiValue:
             degree, component0, g, modulus = expr.args
             if component0 and n == 0:
                 return PiValue(TRIVIAL)
-            cg = _coefficient_group(g, n + degree, modulus, table)
+            # pi_n(O^d[G]{q}) = pi_i(G; Z_q), i = n + d >= 1, by universal coefficients.
+            i = n + degree
+            top, bottom = table.lie_record(g, i), table.lie_record(g, i - 1)
+            tensor_part = tensor_with_cyclic(top.group, modulus)
+            tor_part = tor_with_cyclic(bottom.group, modulus)
             notes = ()
-            if cg.extension_split_assumed:
-                notes = (
-                    f"pi_{n + degree}({g}; Z_{modulus}) assumed to "
-                    "split as tensor + Tor",
-                )
-            return PiValue(cg.group, notes=notes, sources=cg.sources)
+            if not tensor_part.is_trivial and not tor_part.is_trivial:
+                notes = (f"pi_{i}({g}; Z_{modulus}) assumed to split as tensor + Tor",)
+            sources = tuple(dict.fromkeys((top.source, bottom.source)))
+            return PiValue(direct_sum(tensor_part, tor_part), (), notes, sources)
         case "map-star-y" if expr.args[0] == 0:
             factors, _ = _map_star(expr.args[1], 0)
             return _merge([_pi(f, n, table) for f in factors])
@@ -378,9 +351,8 @@ def _pi(expr: SpaceExpr, n: int, table: PiTable) -> PiValue:
 
 
 # The table is part of the key, so a new BUNDLEGAUGE_TABLES is seen at
-# once.  typed keeps n=True apart from n=1, since the symbolic text
-# prints n; the cap bounds memory under the unbounded m and k of X_k.
-_pi_of = lru_cache(maxsize=4096, typed=True)(_pi)
+# once; the cap bounds memory under the unbounded m and k of X_k.
+_pi_of = lru_cache(maxsize=4096)(_pi)
 
 
 def pi_pointed_gauge_m0(g: LieGroupId, l: int, k: int, n: int) -> PiValue:

@@ -465,7 +465,9 @@ def homology_of(complex: ChainComplex) -> tuple[AbGroup, ...]:
     Ranks and torsion both come out of the Smith normal form of the
     boundary matrices.
     """
-    snfs = [smith_normal_form(complex.boundary(n)) for n in range(len(complex.cells) + 1)]
+    # The maps C_0 -> 0 and 0 -> C_top have rank 0 and are not built.
+    end = SNFResult((), 0)
+    snfs = [end, *map(smith_normal_form, complex.boundaries), end]
     results = []
     for n in range(len(complex.cells)):
         image = snfs[n + 1]
@@ -478,8 +480,8 @@ def homology_of(complex: ChainComplex) -> tuple[AbGroup, ...]:
 
 
 # Missing boundaries are built as dense zero matrices, and homology_of
-# adds a zero map at each end and renders every free rank, so a short
-# cells: line could otherwise imply far more work than its file holds.
+# renders every free rank, so a short cells: line could otherwise imply
+# far more work than its file holds.
 MAX_BOUNDARY_ENTRIES = 2 * 10**7
 
 

@@ -242,16 +242,16 @@ class PiTable:
         return cls(records)
 
     def sphere_record(self, n: int, i: int) -> TableRecord:
-        if n < 1 or i < 0:
-            raise ValueError("sphere lookup needs n >= 1, i >= 0")
+        if type(n) is not int or type(i) is not int or n < 1 or i < 0:
+            raise ValueError("sphere lookup needs n >= 1, i >= 0, both ints")
         rec = self._rows.get((f"S{n}", i))
         if rec is None:
             raise UnknownValueError(f"no table entry for pi_{i}(S^{n})")
         return rec
 
     def lie_record(self, g: LieGroupId, i: int) -> TableRecord:
-        if i < 0:
-            raise ValueError("degree must be nonnegative")
+        if type(i) is not int or i < 0:
+            raise ValueError("degree must be nonnegative and an int")
         rec = self._rows.get((_lie_key(g), i))
         if rec is None:
             # For an exceptional group this is the exact slot just

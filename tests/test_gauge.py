@@ -209,7 +209,7 @@ class TestPiWithCoefficients:
     def test_free_pi3_gives_full_cyclic(self):
         result = pi_with_coefficients(SU4, 3, 5, 2)
         assert result.group == make_group(0, [25])
-        assert not result.extension_split_assumed
+        assert result.notes == ()
 
     def test_two_torsion_dies_at_five(self):
         result = pi_with_coefficients(SP2, 4, 5, 1)
@@ -229,7 +229,32 @@ class TestPiWithCoefficients:
         for g in (SU4, SP2, SPIN8, E8):
             for i in range(1, 9):
                 for p in (5, 7, 11):
-                    assert not pi_with_coefficients(g, i, p, 2).extension_split_assumed
+                    assert pi_with_coefficients(g, i, p, 2).notes == ()
+
+    def test_read_off_the_mod_loop_space_through_the_memo(self):
+        # pi_i(G; Z_{p^r}) is pi_0 of O^i[G]{p^r}: the very PiValue that
+        # pi_of_expr holds for it, or the same refusal.
+        for g in PACKAGED_GROUPS:
+            if not pi6(g).is_trivial:
+                continue
+            for i in range(1, 9):
+                for p in (5, 7, 11):
+                    for r in range(3):
+                        expected = _outcome(pi_of_expr, mod_loop(i, g, p**r), 0)
+                        got = _outcome(pi_with_coefficients, g, i, p, r)
+                        assert got == expected, (g, i, p, r)
+                        if isinstance(got, gauge.PiValue):
+                            assert got is expected
+
+    def test_degree_zero_is_pi0_of_the_group(self):
+        # G is connected, so pi_0(G; Z_{p^r}) = 0, read off the pi_0 row.
+        for g in (SU4, SP2, SPIN8, E8):
+            source = default_table().lie_record(g, 0).source
+            pi0 = gauge.PiValue(abelian.TRIVIAL, sources=(source,))
+            for p in (5, 7, 11):
+                assert pi_with_coefficients(g, 0, p, 0) == gauge.PiValue(abelian.TRIVIAL)
+                for r in (1, 2):
+                    assert pi_with_coefficients(g, 0, p, r) == pi0
 
 
 class TestPiOfExpr:
@@ -266,6 +291,19 @@ class TestPiOfExpr:
     def test_moore_pi6(self):
         assert pi_of_expr(moore(4, 5), 6).group == make_group(0, [5])
 
+    @pytest.mark.parametrize("degree", [True, 1.0, 5.0])
+    def test_a_degree_that_is_not_an_int_is_refused(self, degree):
+        table = default_table()
+        with pytest.raises(ValueError, match="nonnegative and an int"):
+            pi_of_expr(gauge_s4(SU4, 1), degree)
+        with pytest.raises(ValueError, match="nonnegative and an int"):
+            pi_pointed_gauge_m0(SU4, 1, 0, degree)
+        with pytest.raises(ValueError, match="nonnegative and an int"):
+            table.lie_record(SU4, degree)
+        for n, i in ((3, degree), (degree, 3)):
+            with pytest.raises(ValueError, match="both ints"):
+                table.sphere_record(n, i)
+
 
 PACKAGED_GROUPS = [
     LieGroupId.parse(t)
@@ -276,10 +314,10 @@ PACKAGED_GROUPS = [
 ]
 
 
-def _outcome(read, expr, n):
+def _outcome(read, *args):
     """The answer, or the refusal's type and text."""
     try:
-        return read(expr, n)
+        return read(*args)
     except (OutOfScopeError, UnknownValueError) as exc:
         return type(exc), str(exc)
 
@@ -338,12 +376,6 @@ class TestPiMemo:
                 pi_of_expr(expr, 0)
         monkeypatch.delenv("BUNDLEGAUGE_TABLES")
         assert pi_of_expr(expr, 0).group == Z
-
-    def test_a_bool_degree_is_kept_apart_from_an_int(self):
-        expr = gauge_s4(SU4, 1)
-        gauge._pi_of.cache_clear()
-        assert pi_of_expr(expr, True).symbolic == ("pi_True(G^1(S^4))",)
-        assert pi_of_expr(expr, 1).symbolic == ("pi_1(G^1(S^4))",)
 
     def test_the_memo_stays_within_its_cap(self):
         cap = 4096

@@ -347,6 +347,17 @@ class TestChainComplex:
         groups = homology_of(complex_)
         assert [g.render() for g in groups] == ["Z", "Z_2", "0"]
 
+    def test_homology_builds_no_zero_matrix_when_every_boundary_is_given(self, monkeypatch):
+        # The maps C_0 -> 0 and 0 -> C_top have rank 0; none is built.
+        d1, d2 = IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[2]])
+        complex_ = ChainComplex((1, 1, 1), (d1, d2))
+
+        def zero(cls, rows, cols):
+            raise AssertionError(f"built a {rows}x{cols} zero matrix")
+
+        monkeypatch.setattr(IntMatrix, "zero", classmethod(zero))
+        assert [g.render() for g in homology_of(complex_)] == ["Z", "Z_2", "0"]
+
 
 class TestManifoldComplexes:
     @pytest.mark.parametrize("m", [0, 1, 2, 6, 12, 24])

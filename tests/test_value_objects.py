@@ -7,7 +7,6 @@ from bundlegauge.abelian import TRIVIAL, AbGroup, Prime
 from bundlegauge.bundles import BundleClass
 from bundlegauge.cli import QueryResult
 from bundlegauge.gauge import (
-    CoefficientGroup,
     DecompositionResult,
     GaugeQuery,
     PiValue,
@@ -49,8 +48,6 @@ CASES = [
      "rule='t', describes='d', loops=0)"),
     (lambda: PiValue(TRIVIAL, sources=("s",)),
      f"PiValue(group={TRIVIAL!r}, symbolic=(), notes=(), sources=('s',))"),
-    (lambda: CoefficientGroup(TRIVIAL, False),
-     f"CoefficientGroup(group={TRIVIAL!r}, extension_split_assumed=False, sources=())"),
     (lambda: S7Decision("equivalent", "r"),
      "S7Decision(verdict='equivalent', reason='r', expr=None, rule=None)"),
     (lambda: Su5Decision("undecided", "r"), "Su5Decision(verdict='undecided', reason='r')"),
