@@ -5,7 +5,7 @@ The decision rules implemented here:
 * m = 0 (torsion-free base).  The unpointed gauge group of the class-k
   bundle splits as G^k(S^4) x Map_*(Y_t, G) and the pointed one as
   O^4[G] x Map_*(Y_t, G), where t is the canonical twist class of l
-  mod 12.  For t = 0 the mapping space expands to O^3[G] x O^7[G].
+  mod 12.  For t = 0 spaces.map_star_y builds it as O^3[G] x O^7[G].
   Pointed splittings do not depend on k.
 
 * m >= 2, localized at a prime p >= 5.  If p does not divide m the
@@ -112,33 +112,31 @@ class DecompositionResult(
         loops: int = 0,
     ) -> DecompositionResult:
         has_opaque = any(
-            a.kind in ("gauge-s4", "x-fiber")
-            or (a.kind == "map-star-y" and a.args[0] != 0)
-            for a in expr.atoms()
+            a.kind in ("gauge-s4", "x-fiber", "map-star-y") for a in expr.atoms()
         )
         if has_opaque and not caveats:
             raise ValueError("opaque atoms require an explanatory caveat")
         return super().__new__(cls, expr, caveats, rule, describes, loops)
 
 
-def _map_star(g: LieGroupId, t: int) -> tuple[tuple[SpaceExpr, ...], tuple[str, ...]]:
-    """The factors of Map_*(Y_t, G) and their caveats: O^3[G] x O^7[G]
-    for t = 0, the symbolic atom otherwise."""
-    if t == 0:
-        return (loop(3, lie(g)), loop(7, lie(g))), ()
+def _map_star(g: LieGroupId, t: int) -> tuple[SpaceExpr, tuple[str, ...]]:
+    """Map_*(Y_t, G), and a caveat when it stays a symbolic atom."""
+    expr = map_star_y(t, g)
+    if expr.kind != "map-star-y":
+        return expr, ()
     caveat = (
         f"Map*(Y_{t}, {g}) has no known closed form for twist {t} != 0 "
         "and is kept symbolic"
     )
-    return (map_star_y(t, g),), (caveat,)
+    return expr, (caveat,)
 
 
 def decompose_unpointed_m0(g: LieGroupId, l: int, k: int) -> DecompositionResult:
-    """G^k(M(l,0)) = G^k(S^4) x Map_*(Y_t, G), expanded when t = 0."""
+    """G^k(M(l,0)) = G^k(S^4) x Map_*(Y_t, G)."""
     require_pi6_zero(g)
-    factors, caveats = _map_star(g, twist_class(l))
+    map_star, caveats = _map_star(g, twist_class(l))
     return DecompositionResult(
-        product(gauge_s4(g, k), *factors), (_CAVEAT_GAUGE_S4, *caveats),
+        product(gauge_s4(g, k), map_star), (_CAVEAT_GAUGE_S4, *caveats),
         "unpointed-m0", f"G^{k}(M({l},0))",
     )
 
@@ -146,9 +144,9 @@ def decompose_unpointed_m0(g: LieGroupId, l: int, k: int) -> DecompositionResult
 def decompose_pointed_m0(g: LieGroupId, l: int, k: int) -> DecompositionResult:
     """G*^k(M(l,0)) = O^4[G] x Map_*(Y_t, G); the answer is k-independent."""
     require_pi6_zero(g)
-    factors, caveats = _map_star(g, twist_class(l))
+    map_star, caveats = _map_star(g, twist_class(l))
     return DecompositionResult(
-        product(loop(4, lie(g)), *factors), caveats, "pointed-m0",
+        product(loop(4, lie(g)), map_star), caveats, "pointed-m0",
         f"G*^{k}(M({l},0))",
     )
 
@@ -274,7 +272,7 @@ def pi_of_expr(expr: SpaceExpr, n: int) -> PiValue:
 
     Loop atoms over spheres and Lie groups resolve through the tables;
     mod-m loop spaces go through the universal-coefficient sequence;
-    every other node (the opaque atoms, Map*(Y_t, G) for t != 0, wedges)
+    every other node (the opaque atoms G^k(S^4), Map*(Y_t, G) and X_k, wedges)
     contributes the symbolic summand pi_n(<its text>), since pi_n is not
     additive over wedges.
 
@@ -296,8 +294,8 @@ def pi_with_coefficients(g: LieGroupId, i: int, p: int, r: int) -> PiValue:
     gives the point, and i = 0 reads pi_0(G) = 0, G being connected.
     """
     plocal_valuation(None, p)
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    if type(i) is not int or type(r) is not int or r < 0:
+        raise ValueError("i and r must be ints, r nonnegative")
     expr = lie(g) if i == 0 and r else mod_loop(i, g, p**r)
     return pi_of_expr(expr, 0)
 
@@ -342,9 +340,6 @@ def _pi(expr: SpaceExpr, n: int, table: PiTable) -> PiValue:
                 notes = (f"pi_{i}({g}; Z_{modulus}) assumed to split as tensor + Tor",)
             sources = tuple(dict.fromkeys((top.source, bottom.source)))
             return PiValue(direct_sum(tensor_part, tor_part), (), notes, sources)
-        case "map-star-y" if expr.args[0] == 0:
-            factors, _ = _map_star(expr.args[1], 0)
-            return _merge([_pi(f, n, table) for f in factors])
         case "moore" if expr.args[0] == 4 and n == 6:
             return PiValue(pi6_moore(expr.args[1]), sources=(PI6_MOORE_SOURCE,))
     return PiValue(TRIVIAL, (f"pi_{n}({expr.render()})",))
@@ -358,9 +353,9 @@ _pi_of = lru_cache(maxsize=4096)(_pi)
 def pi_pointed_gauge_m0(g: LieGroupId, l: int, k: int, n: int) -> PiValue:
     """pi_n of the pointed gauge group over M(l,0), any k.
 
-    Always contributes pi_{n+4}(G); the mapping-space summand expands to
-    pi_{n+3}(G) + pi_{n+7}(G) when the twist class vanishes and stays
-    symbolic otherwise.
+    Always contributes pi_{n+4}(G); the mapping-space summand is
+    pi_{n+3}(G) + pi_{n+7}(G) when the twist class vanishes, where
+    Map*(Y_0, G) splits, and stays symbolic otherwise.
     """
     return pi_of_expr(decompose_pointed_m0(g, l, k).expr, n)
 

@@ -114,8 +114,7 @@ def is_homotopy_equivalent(a: ManifoldSpec, b: ManifoldSpec) -> EquivalenceDecis
         verdict = "" if ok else "no "
         return EquivalenceDecision(
             ok,
-            f"{verdict}congruence l' = +-l (mod 12) "
-            f"for l={a.l}, l'={b.l} (James-Whitehead)",
+            f"{verdict}congruence l' = +-l (mod 12) for l={a.l}, l'={b.l}",
             "james-whitehead",
         )
     g = gcd(a.m, 12)
@@ -123,13 +122,12 @@ def is_homotopy_equivalent(a: ManifoldSpec, b: ManifoldSpec) -> EquivalenceDecis
         if (b.l - alpha * a.l) % g == 0:
             return EquivalenceDecision(
                 True,
-                f"a={alpha} solves a^2 = 1 (mod {g}) and l' = a*l (mod {g}) "
-                f"(Crowley-Escher)",
+                f"a={alpha} solves a^2 = 1 (mod {g}) and l' = a*l (mod {g})",
                 "crowley-escher",
             )
     return EquivalenceDecision(
         False,
-        f"no a with a^2 = 1 (mod {g}) sends l={a.l} to l'={b.l} (Crowley-Escher)",
+        f"no a with a^2 = 1 (mod {g}) sends l={a.l} to l'={b.l}",
         "crowley-escher",
     )
 
@@ -151,7 +149,7 @@ def suspension(spec: ManifoldSpec) -> SpaceExpr:
     """Integral homotopy type of the suspension.
 
     Only stated for m = 0, where it splits as SY_t v S^5 with t the
-    canonical twist class; t = 0 gives S^8 v S^4 v S^5.  The m = 1 case
+    canonical twist class; SY_0 is S^4 v S^8.  The m = 1 case
     is reported as S^8 through the S^7 equivalence.  For m >= 2 only the
     p-local statement exists; use suspension_plocal.
     """
@@ -162,10 +160,7 @@ def suspension(spec: ManifoldSpec) -> SpaceExpr:
             "no integral suspension splitting for m >= 2; "
             "use suspension_plocal with a prime p >= 5"
         )
-    t = twist_class(spec.l)
-    if t == 0:
-        return wedge(sphere(8), sphere(4), sphere(5))
-    return wedge(y_cofiber(t, suspended=True), sphere(5))
+    return wedge(y_cofiber(twist_class(spec.l), suspended=True), sphere(5))
 
 
 def plocal_valuation(m: int | None, p: int | Prime) -> int:

@@ -434,17 +434,6 @@ class ChainComplex(namedtuple("ChainComplex", "cells boundaries")):
             bs.append(d)
         return cls(tuple(cells), tuple(bs))
 
-    def top_degree(self) -> int:
-        return len(self.cells) - 1
-
-    def boundary(self, n: int) -> IntMatrix:
-        """d_n for 1 <= n <= top degree; formally zero outside that range."""
-        if 1 <= n <= self.top_degree():
-            return self.boundaries[n - 1]
-        rows = self.cells[n - 1] if 0 <= n - 1 < len(self.cells) else 0
-        cols = self.cells[n] if 0 <= n < len(self.cells) else 0
-        return IntMatrix.zero(rows, cols)
-
 
 def complex_for_manifold(spec: ManifoldSpec) -> ChainComplex:
     """Minimal cell structure S^3 u e^4 u e^7 of the total space.

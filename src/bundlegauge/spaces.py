@@ -13,9 +13,11 @@ canonical constructors below check the arguments and are the only way
 to build a node.
 
 Collapsing rules are deliberately minimal: the point is a unit for both
-connectives, P^n(1) and the mod-1 loop space collapse to the point, and
-nothing else is rewritten.  In particular a based loop space and its
-basepoint component stay distinct atoms.
+connectives, P^n(1) and the mod-1 loop space collapse to the point, Y_0
+splits as S^3 v S^7 (so Map*(Y_0, G) is O^3[G] x O^7[G]), and nothing
+else is rewritten.  In particular a based loop space and its basepoint
+component stay distinct atoms.  Degrees, dimensions, moduli and twists
+must be ints.
 
 Text grammar (documented in docs/expression-grammar.md):
 
@@ -184,14 +186,16 @@ POINT = SpaceExpr("point")
 
 
 def sphere(n: int) -> SpaceExpr:
-    if n < 1:
-        raise ValueError("sphere dimension must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError("sphere dimension must be >= 1 and an int")
     return SpaceExpr("sphere", (n,))
 
 
 def moore(n: int, m: int) -> SpaceExpr:
     """P^n(m): single reduced homology group Z_m in degree n-1; the
     degree-1 attaching map gives a contractible space."""
+    if type(n) is not int or type(m) is not int:
+        raise ValueError("Moore space needs int n and m")
     if m == 1:
         return POINT
     if n < 2 or m < 2:
@@ -207,8 +211,8 @@ def loop(n: int, inner: SpaceExpr, component0: bool = False) -> SpaceExpr:
     """O^n[X], or its basepoint component O^n_0[X] when component0 is set."""
     if inner.kind == "point":
         return POINT
-    if n < 1:
-        raise ValueError("loop degree must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError("loop degree must be >= 1 and an int")
     return SpaceExpr("loop", (n, component0, inner))
 
 
@@ -218,6 +222,8 @@ def mod_loop(
     """The mod-m loop space O^n[G]{m}: maps from P^{n+1}(m) to BG, the
     fiber of the m-th power map on the n-fold loop space of G.  Modulus 1
     collapses to the point."""
+    if type(n) is not int or type(modulus) is not int:
+        raise ValueError("mod loop space needs int n and modulus")
     if modulus == 1:
         return POINT
     if n < 1 or modulus < 2:
@@ -230,11 +236,12 @@ def map_star_y(t: int, group: LieGroupId) -> SpaceExpr:
     attached by t times a generator of pi_6(S^3) = Z_12.
 
     The twist t is always the canonical representative in 0..6.  For
-    t = 0 the space splits and the decomposition routines expand it, so
-    an atom with t = 0 should not normally appear in results.
+    t = 0, Y_0 = S^3 v S^7 and the space splits as O^3[G] x O^7[G].
     """
-    if not 0 <= t <= 6:
-        raise ValueError("twist class must be the canonical value in 0..6")
+    if type(t) is not int or not 0 <= t <= 6:
+        raise ValueError("twist class must be the canonical value in 0..6, an int")
+    if t == 0:
+        return product(loop(3, lie(group)), loop(7, lie(group)))
     return SpaceExpr("map-star-y", (t, group))
 
 
@@ -252,9 +259,12 @@ def x_fiber(group: LieGroupId, m: int, k: int) -> SpaceExpr:
 
 def y_cofiber(t: int, suspended: bool = False) -> SpaceExpr:
     """Y_t (or its suspension SY_t): cofiber of t times a generator of
-    pi_6(S^3), with t the canonical twist in 0..6."""
-    if not 0 <= t <= 6:
-        raise ValueError("twist class must be the canonical value in 0..6")
+    pi_6(S^3), with t the canonical twist in 0..6; Y_0 is S^3 v S^7."""
+    if type(t) is not int or not 0 <= t <= 6:
+        raise ValueError("twist class must be the canonical value in 0..6, an int")
+    if t == 0:
+        s = 1 if suspended else 0
+        return wedge(sphere(3 + s), sphere(7 + s))
     return SpaceExpr("y-cofiber", (suspended, t))
 
 

@@ -49,10 +49,10 @@ ATOMS = st.one_of(
     SIMPLE,
     st.builds(loop, DEGREES, SIMPLE, st.booleans()),
     st.builds(mod_loop, DEGREES, GROUPS, st.integers(2, 3), st.booleans()),
-    st.builds(map_star_y, st.integers(0, 2), GROUPS),
+    st.builds(map_star_y, st.integers(1, 6), GROUPS),
     st.builds(gauge_s4, GROUPS, st.integers(-1, 1)),
     st.builds(x_fiber, GROUPS, st.integers(2, 3), st.integers(0, 2)),
-    st.builds(y_cofiber, st.integers(0, 2), st.booleans()),
+    st.builds(y_cofiber, st.integers(1, 6), st.booleans()),
 )
 
 

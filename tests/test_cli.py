@@ -59,7 +59,9 @@ class TestManifoldCommands:
     def test_equiv(self):
         result = ok(["manifold", "equiv", "--a", "3,0", "--b", "15,0"])
         assert result.payload["result"]["equivalent"] is True
-        assert "James-Whitehead" in result.payload["result"]["reason"]
+        assert result.payload["theorem"] == "James-Whitehead criterion"
+        assert result.payload["citations"] == ["James-Whitehead (1954)"]
+        assert "James-Whitehead" not in result.payload["result"]["reason"]
 
     def test_homology(self):
         result = ok(["manifold", "homology", "--l", "3", "--m", "6"])

@@ -21,7 +21,13 @@ from bundlegauge.gauge import (
     s7_gauge_equivalent,
     su5_gauge_equivalent_m0,
 )
-from bundlegauge.manifolds import normalize, plocal_valuation, suspension_plocal
+from bundlegauge.manifolds import (
+    normalize,
+    plocal_valuation,
+    suspension,
+    suspension_plocal,
+    twist_class,
+)
 from bundlegauge.spaces import (
     gauge_s4,
     lie,
@@ -32,7 +38,9 @@ from bundlegauge.spaces import (
     moore,
     product,
     sphere,
+    wedge,
     x_fiber,
+    y_cofiber,
 )
 from bundlegauge.tables import LieGroupId, default_table, pi6
 
@@ -246,6 +254,11 @@ class TestPiWithCoefficients:
                         if isinstance(got, gauge.PiValue):
                             assert got is expected
 
+    @pytest.mark.parametrize("i,r", [(False, 1), (True, 1), (3.0, 1), (3, 1.0), (3, True)])
+    def test_a_non_int_degree_or_exponent_is_refused(self, i, r):
+        with pytest.raises(ValueError, match="i and r must be ints"):
+            pi_with_coefficients(SU4, i, 5, r)
+
     def test_degree_zero_is_pi0_of_the_group(self):
         # G is connected, so pi_0(G; Z_{p^r}) = 0, read off the pi_0 row.
         for g in (SU4, SP2, SPIN8, E8):
@@ -312,6 +325,34 @@ PACKAGED_GROUPS = [
         "Spin7", "Spin8", "Spin9", "Spin11", "G2", "F4", "E6", "E7", "E8",
     )
 ]
+
+
+def _twist_zero_atoms(expr):
+    return [
+        a for a in expr.atoms()
+        if a.kind in ("map-star-y", "y-cofiber") and a.to_json()["t"] == 0
+    ]
+
+
+def test_torsion_free_answers_are_built_by_the_constructors():
+    # Y_0 splits in spaces alone: every l at m = 0 builds Map*(Y_t, G) and
+    # SY_t through map_star_y and y_cofiber, and no answer holds an atom
+    # with t = 0.
+    for l in range(-24, 25):
+        t = twist_class(l)
+        got = suspension(normalize(l, 0))
+        assert got == wedge(y_cofiber(t, suspended=True), sphere(5)), l
+        assert not _twist_zero_atoms(got), l
+        for g in PACKAGED_GROUPS:
+            if not pi6(g).is_trivial:
+                continue
+            for decompose, head in (
+                (decompose_unpointed_m0, gauge_s4(g, 1)),
+                (decompose_pointed_m0, loop(4, lie(g))),
+            ):
+                expr = decompose(g, l, 1).expr
+                assert expr == product(head, map_star_y(t, g)), (g, l)
+                assert not _twist_zero_atoms(expr), (g, l)
 
 
 def _outcome(read, *args):

@@ -16,6 +16,7 @@ from bundlegauge.manifolds import (
 )
 from bundlegauge.oracle import complex_for_manifold, homology_of
 from bundlegauge.spaces import POINT, localized, moore, sphere, wedge, y_cofiber
+from bundlegauge.tables import RULES
 
 Z = make_group(1, [])
 ZERO = make_group(0, [])
@@ -81,11 +82,18 @@ class TestHomotopyEquivalence:
         # 5^2 = 25 = 1 (mod 12), so a = 5 relates l = 1 and l' = 5.
         assert is_homotopy_equivalent(normalize(1, 12), normalize(5, 12))
 
-    def test_reasons_mention_the_criterion(self):
-        decision = is_homotopy_equivalent(normalize(3, 0), normalize(15, 0))
-        assert "James-Whitehead" in decision.reason
-        decision = is_homotopy_equivalent(normalize(1, 12), normalize(5, 12))
-        assert "Crowley-Escher" in decision.reason
+    def test_the_rule_names_the_criterion(self):
+        # The criterion's name and citation live in its RULES row, not in reason.
+        for a, b, rule, name in (
+            ((3, 0), (15, 0), "james-whitehead", "James-Whitehead"),
+            ((1, 12), (5, 12), "crowley-escher", "Crowley-Escher"),
+        ):
+            decision = is_homotopy_equivalent(normalize(*a), normalize(*b))
+            assert decision.rule == rule
+            theorem, citations = RULES[rule]
+            assert theorem == f"{name} criterion"
+            assert citations and all(c.startswith(name) for c in citations)
+            assert name not in decision.reason
 
     def test_agrees_with_both_criteria_by_brute_force(self):
         # Each criterion read off its statement, on the raw input pairs:

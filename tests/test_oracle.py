@@ -364,7 +364,7 @@ class TestManifoldComplexes:
     def test_composition_is_zero(self, m):
         complex_ = complex_for_manifold(normalize(1, m))
         for n in range(2, 8):
-            assert complex_.boundary(n - 1).mul(complex_.boundary(n)).is_zero()
+            assert complex_.boundaries[n - 2].mul(complex_.boundaries[n - 1]).is_zero()
 
     @pytest.mark.parametrize("m", [0, 1, 6])
     def test_zero_boundaries_are_not_multiplied(self, monkeypatch, m):
@@ -379,7 +379,7 @@ class TestManifoldComplexes:
 
         monkeypatch.setattr(IntMatrix, "mul", mul)
         complex_ = complex_for_manifold(normalize(1, m))
-        assert complex_.boundary(4) == IntMatrix.from_rows([[m]])
+        assert complex_.boundaries[3] == IntMatrix.from_rows([[m]])
 
     def test_agrees_with_closed_form_on_the_grid(self):
         for l in range(-24, 25):

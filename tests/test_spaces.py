@@ -149,6 +149,48 @@ class TestValidation:
             y_cofiber(-1)
 
 
+class TestTwistZeroSplits:
+    """Y_0 = S^3 v S^7, so the constructors build no atom with t = 0."""
+
+    @pytest.mark.parametrize("g", [SU4, SP2, LieGroupId("E8")])
+    def test_map_star_y0_is_a_product_of_loop_spaces(self, g):
+        assert map_star_y(0, g) == product(loop(3, lie(g)), loop(7, lie(g)))
+
+    @pytest.mark.parametrize("suspended,dims", [(False, (3, 7)), (True, (4, 8))])
+    def test_y0_is_a_wedge_of_spheres(self, suspended, dims):
+        assert y_cofiber(0, suspended) == wedge(sphere(dims[0]), sphere(dims[1]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: sphere(3.0),
+        lambda: sphere(True),
+        lambda: moore(4, 5.0),
+        lambda: moore(4.0, 5),
+        lambda: moore(4, True),
+        lambda: loop(2.0, lie(SU4)),
+        lambda: loop(True, lie(SU4)),
+        lambda: mod_loop(True, SU4, 5),
+        lambda: mod_loop(3, SU4, 5.0),
+        lambda: map_star_y(True, SU4),
+        lambda: map_star_y(False, SU4),
+        lambda: map_star_y(5.0, SU4),
+        lambda: y_cofiber(1.0),
+        lambda: y_cofiber(True, suspended=True),
+    ],
+    ids=[
+        "sphere-float", "sphere-bool", "moore-float-m", "moore-float-n",
+        "moore-bool-m", "loop-float", "loop-bool", "mod-loop-bool-n",
+        "mod-loop-float-modulus", "map-star-y-true", "map-star-y-false",
+        "map-star-y-float", "y-cofiber-float", "y-cofiber-bool",
+    ],
+)
+def test_a_non_int_argument_is_refused(build):
+    with pytest.raises(ValueError, match="int"):
+        build()
+
+
 @pytest.mark.parametrize(
     "build,fragment",
     [
