@@ -18,8 +18,8 @@ import sys
 
 # The public names, by the submodule that defines them.
 _EXPORTS = {
-    "abelian": "AbGroup Prime direct_sum is_isomorphic localize make_group "
-               "parse_group tensor_with_cyclic tor_with_cyclic vp",
+    "abelian": "AbGroup Prime direct_sum localize make_group parse_group "
+               "tensor_with_cyclic tor_with_cyclic vp",
     "bundles": "BundleClass classify_bundles projection_induced_map_kind reduce_class",
     "errors": "BundleGaugeError LocalityError OutOfScopeError UnknownValueError",
     "gauge": "DecompositionResult GaugeQuery decompose_plocal decompose_pointed_m0 "
@@ -27,11 +27,11 @@ _EXPORTS = {
              "pi0_unpointed_gauge_plocal pi_of_expr pi_pointed_gauge_m0 "
              "pi_pointed_gauge_plocal pi_with_coefficients run_query "
              "s7_decompose_trivial s7_gauge_equivalent su5_gauge_equivalent_m0",
-    "manifolds": "ManifoldSpec cofibre_of_bottom_cell homology is_homotopy_equivalent "
-                 "normalize skeleton4 suspension suspension_plocal twist_class",
+    "manifolds": "ManifoldSpec homology is_homotopy_equivalent normalize suspension "
+                 "suspension_plocal twist_class",
     "oracle": "ChainComplex IntMatrix complex_for_manifold homology_of parse_complex "
               "smith_normal_form",
-    "tables": "LieGroupId PiTable default_table pi6 pi6_moore pi_lie pi_sphere",
+    "tables": "LieGroupId PiTable default_table pi6 pi6_moore",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_HOME)

@@ -34,7 +34,6 @@ __all__ = [
     "Prime",
     "make_group",
     "parse_group",
-    "is_isomorphic",
     "direct_sum",
     "localize",
     "tensor_with_cyclic",
@@ -104,9 +103,6 @@ class Prime(namedtuple("Prime", "value")):
         if not is_prime(value):
             raise ValueError(f"{value} is not prime")
         return super().__new__(cls, value)
-
-    def __int__(self) -> int:
-        return self.value
 
     def __str__(self) -> str:
         return str(self.value)
@@ -253,22 +249,6 @@ def _build(
 
 TRIVIAL = AbGroup(0, ())
 Z = AbGroup(1, ())
-
-
-def is_isomorphic(a: AbGroup, b: AbGroup) -> bool:
-    """Structural equality of canonical forms.
-
-    >>> is_isomorphic(make_group(0, [12]), make_group(0, [4, 3]))
-    True
-    >>> is_isomorphic(make_group(0, [2, 2]), make_group(0, [4]))
-    False
-    """
-    if a.local_prime != b.local_prime:
-        raise LocalityError(
-            f"cannot compare {a} (locality {a.local_prime}) "
-            f"with {b} (locality {b.local_prime})"
-        )
-    return a == b
 
 
 def _common_locality(a: AbGroup, b: AbGroup) -> int | None:

@@ -336,7 +336,8 @@ def _leaf(subparsers, name: str, fn, **kwargs) -> _Parser:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="bundlegauge", description=__doc__)
+    # main() looks for the literal --json, so no prefix of it may parse.
+    parser = _Parser(prog="bundlegauge", description=__doc__, allow_abbrev=False)
     parser.add_argument("--json", action="store_true", help="emit JSON")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 

@@ -3,8 +3,8 @@
 A bundle is classified by a pair of integers (l, m).  Two classical
 homeomorphisms, (l, m) ~ (-l, -m) and (l, m) ~ (l+m, -m), let us fix
 m >= 0; composing them shows that with m fixed, l and -l-m give
-homeomorphic total spaces.  ManifoldSpec stores the canonical
-representative and remembers the input pair for display.
+homeomorphic total spaces.  ManifoldSpec holds only the canonical
+representative, so inputs related by these moves give equal specs.
 
 Homotopy classification:
 
@@ -33,24 +33,17 @@ __all__ = [
     "normalize",
     "homology",
     "is_homotopy_equivalent",
-    "skeleton4",
     "suspension",
     "suspension_plocal",
-    "cofibre_of_bottom_cell",
     "twist_class",
     "plocal_valuation",
 ]
 
 
-class ManifoldSpec(namedtuple("ManifoldSpec", "l m original")):
-    """Canonical (l, m) with m >= 0 and l the preferred representative;
-    original is the input pair."""
+class ManifoldSpec(namedtuple("ManifoldSpec", "l m")):
+    """Canonical (l, m) with m >= 0 and l the preferred representative."""
 
     __slots__ = ()
-
-    def partners(self) -> tuple[int, int]:
-        """The homeomorphism class {l, -l-m} at fixed m >= 0."""
-        return tuple(sorted({self.l, -self.l - self.m}))
 
     def __str__(self) -> str:
         return f"M({self.l},{self.m})"
@@ -63,11 +56,10 @@ def normalize(l: int, m: int) -> ManifoldSpec:
     {l, -l-m} keep the value of smaller absolute value, preferring the
     nonnegative one on ties (ties only occur at m = 0).
     """
-    orig = (l, m)
     if m < 0:
         l, m = -l, -m
     candidates = sorted({l, -l - m}, key=lambda x: (abs(x), x < 0))
-    return ManifoldSpec(candidates[0], m, orig)
+    return ManifoldSpec(candidates[0], m)
 
 
 def homology(spec: ManifoldSpec) -> tuple[AbGroup, ...]:
@@ -138,13 +130,6 @@ def twist_class(l: int) -> int:
     return min(r, 12 - r)
 
 
-def skeleton4(spec: ManifoldSpec) -> SpaceExpr:
-    """Homotopy type of the 4-skeleton: S^3 v S^4, a point, or P^4(m)."""
-    if spec.m == 0:
-        return wedge(sphere(3), sphere(4))
-    return moore(4, spec.m)
-
-
 def suspension(spec: ManifoldSpec) -> SpaceExpr:
     """Integral homotopy type of the suspension.
 
@@ -187,15 +172,3 @@ def suspension_plocal(spec: ManifoldSpec, p: int) -> SpaceExpr:
     prime = Prime(p)
     r = plocal_valuation(spec.m, prime)
     return localized(prime, wedge(moore(5, p**r), sphere(8)))
-
-
-def cofibre_of_bottom_cell(spec: ManifoldSpec) -> SpaceExpr:
-    """Cofiber of the fiber inclusion S^3 -> M: splits as S^4 v S^7.
-
-    The splitting is proved for every m except m = 1, which is rejected.
-    """
-    if spec.m == 1:
-        raise OutOfScopeError(
-            "unsupported: the cofiber splitting excludes m = 1"
-        )
-    return wedge(sphere(4), sphere(7))

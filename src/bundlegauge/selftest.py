@@ -12,7 +12,7 @@ import random
 import time
 from collections import namedtuple
 
-from . import gauge, manifolds, oracle, tables
+from . import bundles, gauge, manifolds, oracle, tables
 from .abelian import (
     TRIVIAL,
     direct_sum,
@@ -154,11 +154,11 @@ def criterion_4_classification() -> tuple[bool, str]:
         LieGroupId("E8"),
     ]
     for g in zero_pi6:
-        got = gauge_classify(g, 0, 0)
+        got = bundles.classify_bundles(g, manifolds.normalize(0, 0))
         if got != make_group(1, []):
             bad.append(f"{g} m=0: {got}")
         for m in range(2, 51):
-            got = gauge_classify(g, 0, m)
+            got = bundles.classify_bundles(g, manifolds.normalize(0, m))
             if got != make_group(0, [m]):
                 bad.append(f"{g} m={m}: {got}")
     table1 = [
@@ -171,16 +171,10 @@ def criterion_4_classification() -> tuple[bool, str]:
         (LieGroupId("Sp", 2), TRIVIAL),
     ]
     for g, expected in table1:
-        got = gauge_classify(g, 0, 1)
+        got = bundles.classify_bundles(g, manifolds.normalize(0, 1))
         if got != expected:
             bad.append(f"{g} m=1: {got} != {expected}")
     return not bad, "; ".join(bad[:4]) or "classification exact for m in 0..50"
-
-
-def gauge_classify(g: LieGroupId, l: int, m: int):
-    from .bundles import classify_bundles
-
-    return classify_bundles(g, manifolds.normalize(l, m))
 
 
 def _equivalence_classes(universe, related) -> list[set]:

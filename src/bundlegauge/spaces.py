@@ -17,7 +17,7 @@ connectives, P^n(1) and the mod-1 loop space collapse to the point, Y_0
 splits as S^3 v S^7 (so Map*(Y_0, G) is O^3[G] x O^7[G]), and nothing
 else is rewritten.  In particular a based loop space and its basepoint
 component stay distinct atoms.  Degrees, dimensions, moduli and twists
-must be ints.
+must be ints, and the flags component0 and suspended bools.
 
 Text grammar (documented in docs/expression-grammar.md):
 
@@ -211,8 +211,8 @@ def loop(n: int, inner: SpaceExpr, component0: bool = False) -> SpaceExpr:
     """O^n[X], or its basepoint component O^n_0[X] when component0 is set."""
     if inner.kind == "point":
         return POINT
-    if type(n) is not int or n < 1:
-        raise ValueError("loop degree must be >= 1 and an int")
+    if type(n) is not int or n < 1 or type(component0) is not bool:
+        raise ValueError("loop degree must be >= 1 and an int, component0 a bool")
     return SpaceExpr("loop", (n, component0, inner))
 
 
@@ -222,8 +222,8 @@ def mod_loop(
     """The mod-m loop space O^n[G]{m}: maps from P^{n+1}(m) to BG, the
     fiber of the m-th power map on the n-fold loop space of G.  Modulus 1
     collapses to the point."""
-    if type(n) is not int or type(modulus) is not int:
-        raise ValueError("mod loop space needs int n and modulus")
+    if type(n) is not int or type(modulus) is not int or type(component0) is not bool:
+        raise ValueError("mod loop space needs int n and modulus, bool component0")
     if modulus == 1:
         return POINT
     if n < 1 or modulus < 2:
@@ -247,6 +247,8 @@ def map_star_y(t: int, group: LieGroupId) -> SpaceExpr:
 
 def gauge_s4(group: LieGroupId, k: int) -> SpaceExpr:
     """G^k(S^4): the gauge group over S^4 of the class-k bundle, kept opaque."""
+    if type(k) is not int:
+        raise ValueError("bundle class k must be an int")
     return SpaceExpr("gauge-s4", (group, k))
 
 
@@ -254,14 +256,16 @@ def x_fiber(group: LieGroupId, m: int, k: int) -> SpaceExpr:
     """The opaque total space X_k of the fibration
     O^4_0[G]{m} -> X_k -> O^1[G]; known only through that fibration
     unless p^r divides k."""
+    if type(m) is not int or type(k) is not int:
+        raise ValueError("X_k needs int m and k")
     return SpaceExpr("x-fiber", (k, m, group))
 
 
 def y_cofiber(t: int, suspended: bool = False) -> SpaceExpr:
     """Y_t (or its suspension SY_t): cofiber of t times a generator of
     pi_6(S^3), with t the canonical twist in 0..6; Y_0 is S^3 v S^7."""
-    if type(t) is not int or not 0 <= t <= 6:
-        raise ValueError("twist class must be the canonical value in 0..6, an int")
+    if type(t) is not int or not 0 <= t <= 6 or type(suspended) is not bool:
+        raise ValueError("twist class must be an int in 0..6, suspended a bool")
     if t == 0:
         s = 1 if suspended else 0
         return wedge(sphere(3 + s), sphere(7 + s))

@@ -30,8 +30,6 @@ __all__ = [
     "PiTable",
     "TableRecord",
     "default_table",
-    "pi_sphere",
-    "pi_lie",
     "pi6",
     "pi6_moore",
     "PI6_MOORE_SOURCE",
@@ -262,9 +260,6 @@ class PiTable:
                 raise UnknownValueError(f"no table entry for pi_{i}({g})")
         return rec
 
-    def sphere(self, n: int, i: int) -> AbGroup:
-        return self.sphere_record(n, i).group
-
 
 @lru_cache(maxsize=None)
 def _cached_table(override: str | None) -> PiTable:
@@ -280,16 +275,6 @@ def default_table() -> PiTable:
     ``BUNDLEGAUGE_TABLES`` names.  The variable is read on every call;
     each distinct value's file is parsed once per process."""
     return _cached_table(os.environ.get(ENV_TABLE_PATH) or None)
-
-
-def pi_sphere(n: int, i: int) -> AbGroup:
-    """pi_i(S^n) from the table.  Unknown entries raise, never guess."""
-    return default_table().sphere(n, i)
-
-
-def pi_lie(g: LieGroupId, i: int) -> AbGroup:
-    """pi_i(G) from the table, with aliases resolved first."""
-    return default_table().lie_record(g, i).group
 
 
 def pi6(g: LieGroupId) -> AbGroup:

@@ -352,6 +352,16 @@ class TestHarness:
         result = run(argv)
         jsonschema.validate(result.payload, SCHEMA)
 
+    def test_top_level_options_take_no_abbreviation(self, capsys):
+        # main() reads --json off argv, so a prefix such as --jso must not
+        # parse as it; subcommand options keep their abbreviations.
+        argv = ["--jso", "classify", "--group", "SU4", "--l", "0", "--m", "5"]
+        assert cli.main(argv) == EXIT_USAGE
+        assert "unrecognized arguments: --jso" in capsys.readouterr().out
+        assert run(argv).payload["status"] == "usage-error"
+        assert ok(["classify", "--gr", "SU4", "--l", "0", "--m", "5"]).text == (
+            run(["classify", "--group", "SU4", "--l", "0", "--m", "5"]).text)
+
     def test_json_mode_via_subprocess(self):
         proc = subprocess.run(
             [sys.executable, "-m", "bundlegauge", "--json", "classify",

@@ -165,6 +165,15 @@ class TestPlocal:
         with pytest.raises(ValueError):
             decompose_plocal(SU4, 1, 25, 0, 6)
 
+    @pytest.mark.parametrize("decompose", [
+        lambda: decompose_unpointed_m0(SU4, 0, 1.0),
+        lambda: decompose_unpointed_m0(SU4, 0, True),
+        lambda: decompose_plocal(SU4, 0, 25.0, 7, 5),
+    ], ids=["unpointed-float-k", "unpointed-bool-k", "plocal-float-m"])
+    def test_a_non_int_class_or_order_is_refused(self, decompose):
+        with pytest.raises(ValueError, match="int"):
+            decompose()
+
 
 class TestS7Decomposition:
     def test_splits_for_pi6_zero(self):

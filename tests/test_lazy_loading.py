@@ -3,6 +3,7 @@ modules its subcommand needs, and the public API is unchanged."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import zipfile
@@ -84,7 +85,7 @@ def test_the_tracer_wraps_a_module_registered_lazily():
 # The names the package re-exported when it imported every submodule
 # at once, by the submodule that defines each.
 PUBLIC = {
-    "abelian": "AbGroup Prime direct_sum is_isomorphic localize make_group parse_group "
+    "abelian": "AbGroup Prime direct_sum localize make_group parse_group "
                "tensor_with_cyclic tor_with_cyclic vp",
     "bundles": "BundleClass classify_bundles projection_induced_map_kind reduce_class",
     "errors": "BundleGaugeError LocalityError OutOfScopeError UnknownValueError",
@@ -92,11 +93,11 @@ PUBLIC = {
              "decompose_unpointed_m0 pi0_unpointed_gauge_m0 pi0_unpointed_gauge_plocal "
              "pi_of_expr pi_pointed_gauge_m0 pi_pointed_gauge_plocal pi_with_coefficients "
              "run_query s7_decompose_trivial s7_gauge_equivalent su5_gauge_equivalent_m0",
-    "manifolds": "ManifoldSpec cofibre_of_bottom_cell homology is_homotopy_equivalent "
-                 "normalize skeleton4 suspension suspension_plocal twist_class",
+    "manifolds": "ManifoldSpec homology is_homotopy_equivalent normalize suspension "
+                 "suspension_plocal twist_class",
     "oracle": "ChainComplex IntMatrix complex_for_manifold homology_of parse_complex "
               "smith_normal_form",
-    "tables": "LieGroupId PiTable default_table pi6 pi6_moore pi_lie pi_sphere",
+    "tables": "LieGroupId PiTable default_table pi6 pi6_moore",
 }
 HOMES = {name: module for module, names in PUBLIC.items() for name in names.split()}
 
@@ -119,6 +120,19 @@ class TestPublicApi:
     def test_all_and_dir_list_the_public_names(self):
         assert sorted(bundlegauge.__all__) == sorted(HOMES)
         assert set(HOMES) <= set(dir(bundlegauge))
+
+    def test_every_public_name_is_read_outside_its_module(self):
+        # Another package module, a bench file or the README must name each
+        # export; one that only its own module and its tests name is dead.
+        package = SRC / "bundlegauge"
+        readers = [*package.glob("*.py"), *(SRC.parent / "bench").glob("*"),
+                   SRC.parent / "README.md"]
+        texts = {path: path.read_text("utf-8") for path in readers
+                 if path.is_file() and path != package / "__init__.py"}
+        unread = [name for name in bundlegauge.__all__
+                  if not any(re.search(rf"\b{name}\b", text) for path, text in texts.items()
+                             if path != package / f"{bundlegauge._HOME[name]}.py")]
+        assert unread == []
 
     @pytest.mark.parametrize("name", ["frobnicate", "is_prime", "_HOME_"])
     def test_an_unknown_name_is_an_attribute_error(self, name):

@@ -3,20 +3,20 @@ from math import gcd
 import pytest
 
 from bundlegauge.abelian import make_group
+from bundlegauge.bundles import reduce_class
 from bundlegauge.errors import OutOfScopeError
 from bundlegauge.manifolds import (
-    cofibre_of_bottom_cell,
+    ManifoldSpec,
     homology,
     is_homotopy_equivalent,
     normalize,
-    skeleton4,
     suspension,
     suspension_plocal,
     twist_class,
 )
 from bundlegauge.oracle import complex_for_manifold, homology_of
-from bundlegauge.spaces import POINT, localized, moore, sphere, wedge, y_cofiber
-from bundlegauge.tables import RULES
+from bundlegauge.spaces import localized, moore, sphere, wedge, y_cofiber
+from bundlegauge.tables import RULES, LieGroupId
 
 Z = make_group(1, [])
 ZERO = make_group(0, [])
@@ -25,19 +25,35 @@ ZERO = make_group(0, [])
 class TestNormalize:
     def test_negative_m_flips_both_signs(self):
         # (3,-5) -> (-3,5); partners {-3, -2}; -2 has smaller absolute value.
-        spec = normalize(3, -5)
-        assert (spec.l, spec.m) == (-2, 5)
-        assert spec.partners() == (-3, -2)
-        assert spec.original == (3, -5)
+        assert normalize(3, -5) == ManifoldSpec(-2, 5)
+        assert ManifoldSpec._fields == ("l", "m")
 
     def test_zero_is_fixed(self):
         assert (normalize(0, 0).l, normalize(0, 0).m) == (0, 0)
 
     def test_m_zero_prefers_nonnegative(self):
-        spec = normalize(7, 0)
-        assert (spec.l, spec.m) == (7, 0)
-        assert normalize(-7, 0).l == 7
-        assert spec.partners() == (-7, 7)
+        assert normalize(7, 0) == ManifoldSpec(7, 0)
+        assert normalize(-7, 0) == ManifoldSpec(7, 0)
+
+    @pytest.mark.parametrize("pairs", [
+        [(3, 0), (-3, 0)],
+        [(3, -5), (-3, 5), (-2, 5), (2, -5)],
+        [(0, 1), (-1, 1), (1, -1)],
+    ])
+    def test_one_value_per_canonical_pair(self, pairs):
+        specs = [normalize(l, m) for l, m in pairs]
+        assert len(set(specs)) == 1
+        assert len({hash(spec) for spec in specs}) == 1
+        g = LieGroupId("SU", 4)
+        assert len({reduce_class(g, spec, 7) for spec in specs}) == 1
+
+    def test_homeomorphisms_fix_the_spec(self):
+        for l in range(-30, 31):
+            for m in range(-10, 11):
+                spec = normalize(l, m)
+                assert normalize(-l, -m) == spec
+                assert normalize(l + m, -m) == spec
+                assert hash(normalize(-l, -m)) == hash(spec)
 
     def test_idempotent(self):
         for l in range(-30, 31):
@@ -123,17 +139,6 @@ class TestHomotopyEquivalence:
                         assert homology(a) == homology(b)
 
 
-class TestSkeleton:
-    def test_m0(self):
-        assert skeleton4(normalize(5, 0)) == wedge(sphere(3), sphere(4))
-
-    def test_m1_contractible(self):
-        assert skeleton4(normalize(5, 1)) == POINT
-
-    def test_torsion_is_a_moore_space(self):
-        assert skeleton4(normalize(5, 9)) == moore(4, 9)
-
-
 class TestSuspension:
     def test_twist_class_is_canonical(self):
         assert twist_class(0) == 0
@@ -178,12 +183,3 @@ class TestSuspension:
         with pytest.raises(OutOfScopeError):
             suspension_plocal(normalize(0, 1), 5)
 
-
-class TestCofibre:
-    def test_splits_for_m_not_one(self):
-        assert cofibre_of_bottom_cell(normalize(2, 0)) == wedge(sphere(4), sphere(7))
-        assert cofibre_of_bottom_cell(normalize(2, 9)) == wedge(sphere(4), sphere(7))
-
-    def test_m1_unsupported(self):
-        with pytest.raises(OutOfScopeError, match="unsupported"):
-            cofibre_of_bottom_cell(normalize(2, 1))

@@ -178,16 +178,42 @@ class TestTwistZeroSplits:
         lambda: map_star_y(5.0, SU4),
         lambda: y_cofiber(1.0),
         lambda: y_cofiber(True, suspended=True),
+        lambda: gauge_s4(SU4, 1.0),
+        lambda: gauge_s4(SU4, True),
+        lambda: x_fiber(SU4, 25.0, 7),
+        lambda: x_fiber(SU4, 25, 7.0),
+        lambda: x_fiber(SU4, True, 7),
     ],
     ids=[
         "sphere-float", "sphere-bool", "moore-float-m", "moore-float-n",
         "moore-bool-m", "loop-float", "loop-bool", "mod-loop-bool-n",
         "mod-loop-float-modulus", "map-star-y-true", "map-star-y-false",
         "map-star-y-float", "y-cofiber-float", "y-cofiber-bool",
+        "gauge-s4-float-k", "gauge-s4-bool-k", "x-fiber-float-m",
+        "x-fiber-float-k", "x-fiber-bool-m",
     ],
 )
 def test_a_non_int_argument_is_refused(build):
     with pytest.raises(ValueError, match="int"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: loop(3, lie(SU4), component0=2),
+        lambda: loop(3, lie(SU4), component0=1),
+        lambda: mod_loop(4, SU4, 25, component0=2),
+        lambda: mod_loop(4, SU4, 1, component0=0),
+        lambda: y_cofiber(5, suspended=2),
+        lambda: y_cofiber(0, suspended=1),
+    ],
+    ids=["loop-2", "loop-1", "mod-loop-2", "mod-loop-collapsed-0", "y-cofiber-2",
+         "y-cofiber-split-1"],
+)
+def test_a_non_bool_flag_is_refused(build):
+    # A flag that is not a bool would render like one but compare unequal to it.
+    with pytest.raises(ValueError, match="bool"):
         build()
 
 

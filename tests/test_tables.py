@@ -11,8 +11,6 @@ from bundlegauge.tables import (
     default_table,
     pi6,
     pi6_moore,
-    pi_lie,
-    pi_sphere,
 )
 
 
@@ -58,28 +56,28 @@ class TestLieGroupId:
 
 class TestSphereLookups:
     def test_pinned_values(self):
-        assert pi_sphere(3, 6) == make_group(0, [12])
-        assert pi_sphere(3, 9) == make_group(0, [3])
-        assert pi_sphere(4, 6) == make_group(0, [2])
-        assert pi_sphere(4, 7) == make_group(1, [12])
-        assert pi_sphere(5, 8) == make_group(0, [24])
+        assert default_table().sphere_record(3, 6).group == make_group(0, [12])
+        assert default_table().sphere_record(3, 9).group == make_group(0, [3])
+        assert default_table().sphere_record(4, 6).group == make_group(0, [2])
+        assert default_table().sphere_record(4, 7).group == make_group(1, [12])
+        assert default_table().sphere_record(5, 8).group == make_group(0, [24])
 
     def test_below_connectivity(self):
-        assert pi_sphere(7, 3).is_trivial
+        assert default_table().sphere_record(7, 3).group.is_trivial
 
     def test_gap_is_unknown_not_a_guess(self):
         with pytest.raises(UnknownValueError):
-            pi_sphere(3, 25)
+            default_table().sphere_record(3, 25)
         with pytest.raises(UnknownValueError):
-            pi_sphere(2, 2)
+            default_table().sphere_record(2, 2)
 
 
 class TestLieLookups:
     def test_sp2_row(self):
         g = LieGroupId("Sp", 2)
-        assert pi_lie(g, 3) == make_group(1, [])
-        assert pi_lie(g, 4) == make_group(0, [2])
-        assert pi_lie(g, 7) == make_group(1, [])
+        assert default_table().lie_record(g, 3).group == make_group(1, [])
+        assert default_table().lie_record(g, 4).group == make_group(0, [2])
+        assert default_table().lie_record(g, 7).group == make_group(1, [])
 
     def test_pi2_vanishes_for_every_family(self):
         for g in [
@@ -90,20 +88,23 @@ class TestLieLookups:
             LieGroupId("G2"),
             LieGroupId("E8"),
         ]:
-            assert pi_lie(g, 2).is_trivial
+            assert default_table().lie_record(g, 2).group.is_trivial
 
     def test_spin8_pi7_has_rank_two(self):
-        assert pi_lie(LieGroupId("Spin", 8), 7) == make_group(2, [])
+        table = default_table()
+        assert table.lie_record(LieGroupId("Spin", 8), 7).group == make_group(2, [])
 
     def test_family_records_use_most_specific_bound(self):
-        assert pi_lie(LieGroupId("Spin", 12), 9) == make_group(0, [2])
+        table = default_table()
+        assert table.lie_record(LieGroupId("Spin", 12), 9).group == make_group(0, [2])
         with pytest.raises(UnknownValueError):
-            pi_lie(LieGroupId("Spin", 10), 9)
+            table.lie_record(LieGroupId("Spin", 10), 9)
 
     def test_aliased_lookups(self):
-        assert pi_lie(LieGroupId("Spin", 5), 4) == make_group(0, [2])
-        assert pi_lie(LieGroupId("Spin", 6), 8) == make_group(0, [24])
-        assert pi_lie(LieGroupId("Sp", 1), 6) == make_group(0, [12])
+        table = default_table()
+        assert table.lie_record(LieGroupId("Spin", 5), 4).group == make_group(0, [2])
+        assert table.lie_record(LieGroupId("Spin", 6), 8).group == make_group(0, [24])
+        assert table.lie_record(LieGroupId("Sp", 1), 6).group == make_group(0, [12])
 
     @pytest.mark.parametrize("g", [LieGroupId("SU", 2), LieGroupId("Sp", 1)])
     def test_su2_reads_the_s3_rows(self, g):
@@ -238,9 +239,9 @@ class TestDataFile:
         try:
             table = tables_module.default_table()
             assert len(table.records) == 1
-            assert table.sphere(3, 6) == make_group(0, [12])
+            assert table.sphere_record(3, 6).group == make_group(0, [12])
             with pytest.raises(UnknownValueError):
-                table.sphere(3, 7)
+                table.sphere_record(3, 7)
         finally:
             monkeypatch.delenv("BUNDLEGAUGE_TABLES")
             tables_module._cached_table.cache_clear()

@@ -20,7 +20,7 @@ from bundlegauge.spaces import SpaceExpr, gauge_s4, sphere
 from bundlegauge.tables import LieGroupId, TableRecord
 
 SU4 = LieGroupId("SU", 4)
-SPEC = ManifoldSpec(1, 0, (1, 0))
+SPEC = ManifoldSpec(1, 0)
 BUNDLE = BundleClass(SPEC, SU4, 3, 0)
 Z12 = AbGroup(0, (12,))
 ZERO_1x1 = IntMatrix(1, 1, ((0,),))
@@ -35,11 +35,11 @@ CASES = [
     (lambda: TableRecord(None, None, "S3", 6, Z12, "Toda"),
      f"TableRecord(family=None, min_n=None, key='S3', degree=6, group={Z12!r}, "
      "source='Toda')"),
-    (lambda: SPEC, "ManifoldSpec(l=1, m=0, original=(1, 0))"),
+    (lambda: SPEC, "ManifoldSpec(l=1, m=0)"),
     (lambda: EquivalenceDecision(True, "r", "k"),
      "EquivalenceDecision(equivalent=True, reason='r', rule='k')"),
     (lambda: BUNDLE,
-     "BundleClass(base=ManifoldSpec(l=1, m=0, original=(1, 0)), "
+     "BundleClass(base=ManifoldSpec(l=1, m=0), "
      "group=LieGroupId(family='SU', n=4), k=3, modulus=0)"),
     (lambda: GaugeQuery(BUNDLE),
      f"GaugeQuery(bundle={BUNDLE!r}, pointed=False, looped=0, locality='integral')"),
