@@ -111,10 +111,10 @@ class DecompositionResult(
         describes: str,
         loops: int = 0,
     ) -> DecompositionResult:
-        has_opaque = any(
+        # A caveat satisfies the check, so only a result without one walks the atoms.
+        if not caveats and any(
             a.kind in ("gauge-s4", "x-fiber", "map-star-y") for a in expr.atoms()
-        )
-        if has_opaque and not caveats:
+        ):
             raise ValueError("opaque atoms require an explanatory caveat")
         return super().__new__(cls, expr, caveats, rule, describes, loops)
 
@@ -282,6 +282,9 @@ def pi_of_expr(expr: SpaceExpr, n: int) -> PiValue:
     """
     if type(n) is not int or n < 0:
         raise ValueError("homotopy degree must be nonnegative and an int")
+    # A tuple equal to a memoized node would hit the memo, so refuse it first.
+    if type(expr) is not SpaceExpr:
+        raise ValueError(f"pi_of_expr needs a SpaceExpr, got {expr!r}")
     return _pi_of(expr, n, default_table())
 
 

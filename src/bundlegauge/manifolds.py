@@ -58,8 +58,10 @@ def normalize(l: int, m: int) -> ManifoldSpec:
     """
     if m < 0:
         l, m = -l, -m
-    candidates = sorted({l, -l - m}, key=lambda x: (abs(x), x < 0))
-    return ManifoldSpec(candidates[0], m)
+    other = -l - m
+    if abs(other) < abs(l) or (abs(other) == abs(l) and other > l):
+        l = other
+    return ManifoldSpec(l, m)
 
 
 def homology(spec: ManifoldSpec) -> tuple[AbGroup, ...]:

@@ -49,6 +49,15 @@ __all__ = [
 ]
 
 
+def _exact_int(x, i: int, j: int) -> int:
+    """int(x) for entry [i][j], refusing a value that int() would
+    truncate; a numeric string converts or fails in int() itself."""
+    n = int(x)
+    if n != x and type(x) is not str:
+        raise ValueError(f"matrix entry {x!r} in row {i}, column {j} is not an integer")
+    return n
+
+
 class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     """An exact integer matrix; rows and cols may be zero.  entries is a
     tuple of row tuples."""
@@ -72,10 +81,12 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         # Build each tuple from a list, at its final size: a tuple built
         # from a generator is resized as it grows, which over many calls
         # fragments the allocator and raises peak memory.  int() converts
-        # only when a type check at C speed finds an entry not an int.
+        # only when a type check at C speed finds an entry not an int, and
+        # refuses one that it would truncate, such as 2.9 or 5/2.
         data = tuple([tuple(row) for row in rows])
         if not {int}.issuperset(map(type, chain.from_iterable(data))):
-            data = tuple([tuple(list(map(int, row))) for row in data])
+            data = tuple([tuple([_exact_int(x, i, j) for j, x in enumerate(row)])
+                          for i, row in enumerate(data)])
         if cols is None:
             cols = len(data[0]) if data else 0
         return cls(len(data), cols, data)

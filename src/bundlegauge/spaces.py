@@ -17,7 +17,8 @@ connectives, P^n(1) and the mod-1 loop space collapse to the point, Y_0
 splits as S^3 v S^7 (so Map*(Y_0, G) is O^3[G] x O^7[G]), and nothing
 else is rewritten.  In particular a based loop space and its basepoint
 component stay distinct atoms.  Degrees, dimensions, moduli and twists
-must be ints, and the flags component0 and suspended bools.
+must be ints, the flags component0 and suspended bools, and every group
+a LieGroupId.
 
 Text grammar (documented in docs/expression-grammar.md):
 
@@ -204,6 +205,8 @@ def moore(n: int, m: int) -> SpaceExpr:
 
 
 def lie(group: LieGroupId) -> SpaceExpr:
+    if type(group) is not LieGroupId:
+        raise ValueError("a Lie group atom needs a LieGroupId")
     return SpaceExpr("lie-group", (group,))
 
 
@@ -222,8 +225,11 @@ def mod_loop(
     """The mod-m loop space O^n[G]{m}: maps from P^{n+1}(m) to BG, the
     fiber of the m-th power map on the n-fold loop space of G.  Modulus 1
     collapses to the point."""
-    if type(n) is not int or type(modulus) is not int or type(component0) is not bool:
-        raise ValueError("mod loop space needs int n and modulus, bool component0")
+    if (type(n) is not int or type(modulus) is not int or type(component0) is not bool
+            or type(group) is not LieGroupId):
+        raise ValueError(
+            "mod loop space needs int n and modulus, bool component0, a LieGroupId"
+        )
     if modulus == 1:
         return POINT
     if n < 1 or modulus < 2:
@@ -238,8 +244,8 @@ def map_star_y(t: int, group: LieGroupId) -> SpaceExpr:
     The twist t is always the canonical representative in 0..6.  For
     t = 0, Y_0 = S^3 v S^7 and the space splits as O^3[G] x O^7[G].
     """
-    if type(t) is not int or not 0 <= t <= 6:
-        raise ValueError("twist class must be the canonical value in 0..6, an int")
+    if type(t) is not int or not 0 <= t <= 6 or type(group) is not LieGroupId:
+        raise ValueError("twist class must be an int in 0..6, the group a LieGroupId")
     if t == 0:
         return product(loop(3, lie(group)), loop(7, lie(group)))
     return SpaceExpr("map-star-y", (t, group))
@@ -247,8 +253,8 @@ def map_star_y(t: int, group: LieGroupId) -> SpaceExpr:
 
 def gauge_s4(group: LieGroupId, k: int) -> SpaceExpr:
     """G^k(S^4): the gauge group over S^4 of the class-k bundle, kept opaque."""
-    if type(k) is not int:
-        raise ValueError("bundle class k must be an int")
+    if type(k) is not int or type(group) is not LieGroupId:
+        raise ValueError("bundle class k must be an int, the group a LieGroupId")
     return SpaceExpr("gauge-s4", (group, k))
 
 
@@ -256,8 +262,8 @@ def x_fiber(group: LieGroupId, m: int, k: int) -> SpaceExpr:
     """The opaque total space X_k of the fibration
     O^4_0[G]{m} -> X_k -> O^1[G]; known only through that fibration
     unless p^r divides k."""
-    if type(m) is not int or type(k) is not int:
-        raise ValueError("X_k needs int m and k")
+    if type(m) is not int or type(k) is not int or type(group) is not LieGroupId:
+        raise ValueError("X_k needs int m and k, and a LieGroupId")
     return SpaceExpr("x-fiber", (k, m, group))
 
 

@@ -273,7 +273,9 @@ def _cached_table(override: str | None) -> PiTable:
 def default_table() -> PiTable:
     """The packaged table (zip imports too), or the file that a nonempty
     ``BUNDLEGAUGE_TABLES`` names.  The variable is read on every call;
-    each distinct value's file is parsed once per process."""
+    each distinct value's file is parsed once per process.  The memos
+    behind pi6 and gauge.pi_of_expr key on the table returned here, so
+    a new value takes effect at once."""
     return _cached_table(os.environ.get(ENV_TABLE_PATH) or None)
 
 
@@ -281,9 +283,21 @@ def pi6(g: LieGroupId) -> AbGroup:
     """pi_6 of a simply connected simple compact Lie group.
 
     Nonzero only for SU(2) = Sp(1) (Z_12), SU(3) (Z_6) and G2 (Z_3);
-    this predicate gates every bundle classification below.
+    this predicate gates every bundle classification below.  A repeated
+    (group, table) pair is answered from a memo of 256 entries; the
+    table is read through default_table() on every call, and a refusal
+    is raised again each time, never stored.
     """
-    return default_table().lie_record(g, 6).group
+    # A tuple equal to a memoized group would hit the memo, so refuse it first.
+    if type(g) is not LieGroupId:
+        raise ValueError(f"pi_6 needs a LieGroupId, got {g!r}")
+    return _pi6(g, default_table())
+
+
+# The cap bounds memory, as LieGroupId.parse accepts any rank.
+@lru_cache(maxsize=256)
+def _pi6(g: LieGroupId, table: PiTable) -> AbGroup:
+    return table.lie_record(g, 6).group
 
 
 def pi6_moore(m: int) -> AbGroup:

@@ -427,6 +427,15 @@ class TestPiMemo:
         monkeypatch.delenv("BUNDLEGAUGE_TABLES")
         assert pi_of_expr(expr, 0).group == Z
 
+    def test_a_tuple_spelling_a_node_is_refused_cold_and_warm(self):
+        # The tuple equals and hashes like loop(4, lie(SU4)), the memo's key.
+        spelled = ("loop", (4, False, ("lie-group", (SU4,))))
+        gauge._pi_of.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="SpaceExpr"):
+                pi_of_expr(spelled, 2)
+            assert pi_of_expr(loop(4, lie(SU4)), 2).group.is_trivial
+
     def test_the_memo_stays_within_its_cap(self):
         cap = 4096
         for k in range(1, cap + 100):
@@ -554,6 +563,20 @@ class TestResultInvariants:
             DecompositionResult(gauge_s4(SU4, 1), (), "tag", "x")
         with pytest.raises(ValueError):
             DecompositionResult(map_star_y(3, SU4), (), "tag", "x")
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            localized(5, product(loop(8, lie(SU4), component0=True), x_fiber(SU4, 25, 7))),
+            product(gauge_s4(SU4, 1), loop(3, lie(SU4))),
+            localized(7, product(sphere(3), map_star_y(2, SU4))),
+        ],
+        ids=["localized-x-fiber", "product-gauge-s4", "localized-map-star-y"],
+    )
+    def test_a_nested_opaque_atom_needs_a_caveat(self, expr):
+        with pytest.raises(ValueError, match="caveat"):
+            DecompositionResult(expr, (), "tag", "x")
+        assert DecompositionResult(expr, ("kept symbolic",), "tag", "x").expr is expr
 
 
 class TestRunQuery:

@@ -1,6 +1,7 @@
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bundlegauge.abelian import make_group
 from bundlegauge.bundles import reduce_class
@@ -54,6 +55,16 @@ class TestNormalize:
                 assert normalize(-l, -m) == spec
                 assert normalize(l + m, -m) == spec
                 assert hash(normalize(-l, -m)) == hash(spec)
+
+    @given(
+        st.integers(-(2**70), 2**70),
+        st.one_of(st.just(0), st.integers(-(2**70), 2**70)),
+    )
+    def test_against_a_brute_force_choice(self, l, m):
+        expected_m = abs(m)
+        pair = {-l, l + m} if m < 0 else {l, -l - m}
+        expected_l = min(pair, key=lambda x: (abs(x), x < 0))
+        assert normalize(l, m) == ManifoldSpec(expected_l, expected_m)
 
     def test_idempotent(self):
         for l in range(-30, 31):

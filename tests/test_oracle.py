@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -271,6 +272,24 @@ class TestFromRows:
         matrix = IntMatrix.from_rows([[True, "12"], (False, -3)])
         assert matrix.entries == ((1, 12), (0, -3))
         assert all(type(x) is int for row in matrix.entries for x in row)
+
+    @pytest.mark.parametrize(
+        "rows,where",
+        [
+            ([[2.9]], "row 0, column 0"),
+            ([[Fraction(5, 2), 0], [0, 3]], "row 0, column 0"),
+            ([[1, 0], [0, -2.5]], "row 1, column 1"),
+        ],
+        ids=["float", "fraction", "negative-float"],
+    )
+    def test_an_entry_that_int_would_truncate_is_refused(self, rows, where):
+        with pytest.raises(ValueError, match=where):
+            IntMatrix.from_rows(rows)
+
+    def test_an_integral_entry_of_another_type_converts(self):
+        matrix = IntMatrix.from_rows([[2.0, Fraction(6, 3)]])
+        assert matrix.entries == ((2, 2),)
+        assert all(type(x) is int for x in matrix.entries[0])
 
     def test_rows_from_generators(self):
         matrix = IntMatrix.from_rows((x * y for x in range(3)) for y in range(2))

@@ -218,6 +218,26 @@ def test_a_non_bool_flag_is_refused(build):
 
 
 @pytest.mark.parametrize(
+    "build",
+    [
+        lambda: lie("SU4"),
+        lambda: lie(("SU", 4)),
+        lambda: mod_loop(3, "SU4", 5),
+        lambda: mod_loop(3, ("SU", 4), 1),
+        lambda: map_star_y(3, "SU4"),
+        lambda: gauge_s4(("SU", 4), 1),
+        lambda: x_fiber("SU4", 25, 7),
+    ],
+    ids=["lie-str", "lie-tuple", "mod-loop-str", "mod-loop-collapsed-tuple",
+         "map-star-y-str", "gauge-s4-tuple", "x-fiber-str"],
+)
+def test_a_group_that_is_no_lie_group_id_is_refused(build):
+    # A string would render unlike the grammar and fail in to_json.
+    with pytest.raises(ValueError, match="LieGroupId"):
+        build()
+
+
+@pytest.mark.parametrize(
     "build,fragment",
     [
         (lambda: loop(0, sphere(3)), "loop degree must be >= 1"),

@@ -4,7 +4,8 @@ import pytest
 
 from bundlegauge import tables as tables_module
 from bundlegauge.abelian import localize, make_group, vp
-from bundlegauge.errors import UnknownValueError
+from bundlegauge.bundles import require_pi6_zero
+from bundlegauge.errors import OutOfScopeError, UnknownValueError
 from bundlegauge.tables import (
     LieGroupId,
     PiTable,
@@ -134,6 +135,71 @@ class TestPi6:
             LieGroupId("E8"),
         ]:
             assert pi6(g).is_trivial
+
+    def test_a_new_override_is_seen_at_once(self, tmp_path, monkeypatch):
+        alt = tmp_path / "su4.txt"
+        alt.write_text("SU4 | 6 | Z_7 | test\n", encoding="utf-8")
+        su4 = LieGroupId("SU", 4)
+        monkeypatch.delenv("BUNDLEGAUGE_TABLES", raising=False)
+        packaged = pi6(su4)
+        assert packaged.is_trivial
+        monkeypatch.setenv("BUNDLEGAUGE_TABLES", str(alt))
+        assert pi6(su4) == make_group(0, [7])
+        with pytest.raises(OutOfScopeError, match=r"pi_6\(SU\(4\)\) = Z_7"):
+            require_pi6_zero(su4)
+        monkeypatch.delenv("BUNDLEGAUGE_TABLES")
+        assert pi6(su4) is packaged
+        require_pi6_zero(su4)
+
+    def test_a_refusal_is_not_stored(self, tmp_path, monkeypatch):
+        alt = tmp_path / "su4.txt"
+        alt.write_text("SU4 | 4 | Z_7 | test\n", encoding="utf-8")
+        su4 = LieGroupId("SU", 4)
+        monkeypatch.delenv("BUNDLEGAUGE_TABLES", raising=False)
+        assert pi6(su4).is_trivial
+        monkeypatch.setenv("BUNDLEGAUGE_TABLES", str(alt))
+        for _ in range(2):
+            with pytest.raises(UnknownValueError, match="pi_6"):
+                pi6(su4)
+            with pytest.raises(UnknownValueError, match="pi_6"):
+                require_pi6_zero(su4)
+        monkeypatch.delenv("BUNDLEGAUGE_TABLES")
+        assert pi6(su4).is_trivial
+
+    def test_a_warm_gate_reads_the_variable_and_no_row(self, monkeypatch):
+        monkeypatch.delenv("BUNDLEGAUGE_TABLES", raising=False)
+        su4 = LieGroupId("SU", 4)
+        require_pi6_zero(su4)
+        calls = {"lie_record": 0, "default_table": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(PiTable, "lie_record", counting("lie_record", PiTable.lie_record))
+        monkeypatch.setattr(tables_module, "default_table",
+                            counting("default_table", tables_module.default_table))
+        for _ in range(1000):
+            require_pi6_zero(su4)
+        assert calls == {"lie_record": 0, "default_table": 1000}
+
+    def test_the_memo_stays_within_its_cap(self):
+        cap = 256
+        for n in range(5, cap + 100):
+            assert pi6(LieGroupId("SU", n)).is_trivial
+        assert tables_module._pi6.cache_info().currsize <= cap
+
+    @pytest.mark.parametrize("g", ["SU4", ("SU", 4), None], ids=["str", "tuple", "none"])
+    def test_a_group_that_is_no_lie_group_id_is_refused_cold_and_warm(self, g):
+        # A tuple equals and hashes like the LieGroupId it spells.
+        for _ in range(2):
+            with pytest.raises(ValueError, match="LieGroupId"):
+                pi6(g)
+            with pytest.raises(ValueError, match="LieGroupId"):
+                require_pi6_zero(g)
+            assert pi6(LieGroupId("SU", 4)).is_trivial
 
 
 class TestMoorePi6:
